@@ -13,7 +13,6 @@ from .canon import CanonicalForm, IsomorphismClass, are_isomorphic, canonical_fo
 from .core import (
     MAX_DIMENSION,
     CodeParams,
-    DeltaTracker,
     MalformedSequenceError,
     Segment,
     Word,
@@ -33,8 +32,6 @@ from .search import (
     IncompleteEnumerationError,
     SearchOptions,
     SearchRecord,
-    all_valid_codes,
-    enumerate_codes_bruteforce,
     enumerate_max,
     family_symmetric_max,
     max_length,
@@ -67,7 +64,6 @@ __all__ = [
     "CodeParams",
     "Segment",
     "Word",
-    "DeltaTracker",
     "MalformedSequenceError",
     "StructuralError",
     "InapplicableError",
@@ -108,8 +104,6 @@ __all__ = [
     "symmetric_max",
     "family_symmetric_max",
     "enumerate_max",
-    "all_valid_codes",
-    "enumerate_codes_bruteforce",
     "KnownValue",
     "lookup",
 ]

@@ -7,8 +7,10 @@ function of the outcome category:
     0  success (valid input, exhaustive search, decision answered, audits pass)
     1  malformed input or invalid flag combination
     2  spread violation
-    3  truncated search / incomplete enumeration
-    4  internal-consistency or audit failure
+    3  truncated search / incomplete enumeration, including a search
+       whose ``--max-length`` is below 2^d (longer codes were not searched)
+    4  internal-consistency or audit failure, or an exhaustive search
+       that disagrees with the known-values table (MISMATCH)
 
 Search results serialize as one JSON object per line; when the searched
 (d, k, mode) falls inside a family with a published exact value, the
@@ -200,6 +202,9 @@ def _cmd_search(args) -> int:
         if known is not None:
             verdict = "MATCH" if record.n == known.expected_length else "MISMATCH"
             print(f"{verdict} n={record.n} expected={known.expected_length} ({known.label})")
+            if verdict == "MISMATCH":
+                _err("search: exhaustive result disagrees with the known-values table")
+                return EXIT_INCONSISTENT
     if record.stop_reason in ("complete", "target"):
         if args.target is not None:
             reached = "yes" if record.n >= args.target else "no"
@@ -347,7 +352,7 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=1, help="worker count")
     p.add_argument("--time-limit", type=float, default=None, metavar="S", help="seconds before truncating")
     p.add_argument("--node-budget", type=int, default=None, help="max nodes before truncating")
-    p.add_argument("--max-length", type=int, default=None, help="bound on code length (default 2^d)")
+    p.add_argument("--max-length", type=int, default=None, help="bound on code length (default 2^d); below 2^d the run is not exhaustive")
     p.add_argument("--out", default=None, help="append the result record to this JSONL file")
 
 

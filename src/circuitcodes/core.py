@@ -178,35 +178,6 @@ def delta(word: Sequence[int], seg: Segment | None = None) -> int:
     return sum(1 for v in counts.values() if v % 2 == 1)
 
 
-class DeltaTracker:
-    """Incremental odd-multiplicity count over a growing segment.
-
-    Each extension toggles one label in the parity set and moves the
-    count by exactly one, so extension is O(1).
-    """
-
-    __slots__ = ("_parity", "odd_count")
-
-    def __init__(self) -> None:
-        self._parity: set[int] = set()
-        self.odd_count = 0
-
-    def extend(self, label: int) -> int:
-        before = self.odd_count
-        if label in self._parity:
-            self._parity.discard(label)
-            self.odd_count -= 1
-        else:
-            self._parity.add(label)
-            self.odd_count += 1
-        assert abs(self.odd_count - before) == 1
-        return self.odd_count
-
-    @property
-    def parity(self) -> frozenset[int]:
-        return frozenset(self._parity)
-
-
 def cyclic_code_distance(i: int, j: int, n: int) -> int:
     """Distance between positions i and j around an n-cycle."""
     if n <= 0:
@@ -220,27 +191,6 @@ def cyclic_code_distance(i: int, j: int, n: int) -> int:
 def hamming_distance(u: Iterable[int], v: Iterable[int]) -> int:
     """Number of coordinates in which two vertices differ."""
     return len(frozenset(u) ^ frozenset(v))
-
-
-# -- integer-mask helpers (fast paths; labels 1..d map to bits 0..d-1) --
-
-
-def mask_of(vertex: Iterable[int]) -> int:
-    m = 0
-    for c in vertex:
-        m |= 1 << (c - 1)
-    return m
-
-
-def set_of(mask: int) -> frozenset[int]:
-    out = []
-    c = 1
-    while mask:
-        if mask & 1:
-            out.append(c)
-        mask >>= 1
-        c += 1
-    return frozenset(out)
 
 
 def prefix_masks(word: Sequence[int]) -> list[int]:

@@ -1,0 +1,96 @@
+"""Test oracles: slow, obviously-correct references for the fast code.
+
+They live outside the public API.  The test suite compares the pruned
+search (:func:`all_valid_codes`) against unpruned enumeration
+(:func:`enumerate_codes_bruteforce`), and the incremental odd-count of
+:class:`DeltaTracker` against the direct recount ``core.delta``.
+"""
+
+from __future__ import annotations
+
+from .core import CodeParams, Word
+from .search import IncompleteEnumerationError, SearchOptions, _run_search
+from .verify import brute_force_check
+
+
+class DeltaTracker:
+    """Incremental odd-multiplicity count over a growing segment.
+
+    Each extension toggles one label in the parity set and moves the
+    count by exactly one, so extension is O(1).
+    """
+
+    __slots__ = ("_parity", "odd_count")
+
+    def __init__(self) -> None:
+        self._parity: set[int] = set()
+        self.odd_count = 0
+
+    def extend(self, label: int) -> int:
+        before = self.odd_count
+        if label in self._parity:
+            self._parity.discard(label)
+            self.odd_count -= 1
+        else:
+            self._parity.add(label)
+            self.odd_count += 1
+        assert abs(self.odd_count - before) == 1
+        return self.odd_count
+
+    @property
+    def parity(self) -> frozenset[int]:
+        return frozenset(self._parity)
+
+
+def all_valid_codes(
+    params: CodeParams,
+    max_length_bound: int,
+    mode: str = "general",
+) -> list[Word]:
+    """Every valid code in the symmetry-broken space, any length.
+
+    Testing aid for completeness comparisons against unpruned
+    enumeration; output is sorted by (length, word).
+    """
+    options = SearchOptions(max_length=max_length_bound)
+    result = _run_search(params, mode, None, options, collect_all=True)
+    if result.stop_reason not in ("complete", "length"):
+        raise IncompleteEnumerationError("collect-all run did not finish")
+    return sorted(result.raw_witnesses, key=lambda w: (len(w), w))
+
+
+def enumerate_codes_bruteforce(params: CodeParams, max_length_bound: int) -> list[Word]:
+    """Unpruned oracle: every closed word that is a valid code.
+
+    Enumerates all origin-rooted self-avoiding closed walks up to the
+    bound with no spread-based pruning at all, then filters with the
+    set-based checker.  Exponential; intended for toy dimensions.
+    """
+    d = params.d
+    found: list[Word] = []
+    word: list[int] = []
+    seen = {0}
+    bit = [0] + [1 << (c - 1) for c in range(1, d + 1)]
+    cap = min(max_length_bound, 1 << d)
+
+    def rec(v: int) -> None:
+        t = len(word)
+        for c in range(1, d + 1):
+            w = v ^ bit[c]
+            if w == 0:
+                if t + 1 >= 4:
+                    code = tuple(word) + (c,)
+                    if brute_force_check(code, params) is None:
+                        found.append(code)
+                continue
+            if t + 1 >= cap or w in seen:
+                continue
+            seen.add(w)
+            word.append(c)
+            rec(w)
+            word.pop()
+            seen.discard(w)
+
+    if cap >= 4:
+        rec(0)
+    return sorted(found, key=lambda w: (len(w), w))

@@ -18,6 +18,17 @@ wrongly discard short cycles such as 1,2,1,2 at spread 2).  In symmetric
 mode the doubled word always has N >= 2t, which removes the third term
 for pairs inside the half-word.
 
+In walk terms, a new vertex w at index j must keep cube distance at
+least a threshold from every earlier vertex walk[i].  Each depth j has
+one schedule of (i, threshold) pairs, built the first time the search
+reaches that depth: the threshold is min(j-i, k) in symmetric mode and
+min(j-i, k, i) in general mode, and i runs from j-2 down to 0 (symmetric)
+or 1 (general); walk[j-1] is one flip away and always far enough.  For
+d <= 11 an optional ball mask short-cuts the far pairs: a bitmask over
+the 2^d vertices of everything within the threshold of some walk[i] with
+j - i >= k, grown by one ball per push, so the schedule stops at
+i > j - k.  Without it the mask stays 0 and the schedule covers every i.
+
 Everything a pruned partial word could ever become is invalid; everything
 accepted as a code has passed the full verifier.  The completeness of
 this arrangement against unpruned enumeration is part of the test suite.
@@ -32,7 +43,7 @@ from typing import Sequence
 
 from .canon import IsomorphismClass, canonical_form, classify
 from .core import CodeParams, Word
-from .verify import bit_runs, brute_force_check, check_spread
+from .verify import bit_runs, check_spread
 
 _TABLE_MAX_D = 11  # ball-mask tables take 2^d ints of 2^d bits; cap the memory
 
@@ -47,8 +58,10 @@ class SearchOptions:
 
     ``target`` switches to decision mode: stop as soon as a code of at
     least that length is found.  ``max_length`` bounds the word length
-    (default 2^d, which no cycle can exceed).  Budgets make the run stop
-    early and report itself as non-exhaustive.
+    (default 2^d, which no cycle can exceed); a bound below 2^d leaves
+    longer codes unsearched, so such a run ends with stop reason
+    ``length`` and is not exhaustive.  Budgets make the run stop early
+    and report itself as non-exhaustive.
     """
 
     target: int | None = None
@@ -56,7 +69,6 @@ class SearchOptions:
     node_budget: int | None = None
     time_limit: float | None = None
     workers: int = 1
-    collect_all: bool = False
 
     def __post_init__(self) -> None:
         if self.target is not None:
@@ -82,7 +94,7 @@ class SearchRecord:
     every code of the maximum length found.  ``exhaustive`` is True only
     when the whole symmetry-broken tree was traversed; truncated runs
     never claim optimality.  ``stop_reason`` is one of ``complete``,
-    ``target``, ``nodes``, ``time``.
+    ``target``, ``nodes``, ``time``, ``length``.
     """
 
     params: CodeParams
@@ -184,28 +196,29 @@ class _Kernel:
         l_req: int | None,
         max_word: int,
         collect_all: bool,
-        use_table: bool,
         best_box=None,
     ) -> None:
         self.params = params
         self.d = params.d
         self.k = params.k
         self.symmetric = mode != "general"
+        # lowest walk index a new vertex is checked against: in general mode
+        # walk[0] is the origin the cycle returns to
+        self.lo = 0 if self.symmetric else 1
         self.l_req = l_req
         self.max_word = max_word
         self.collect_all = collect_all
-        self.use_table = use_table
         self.best_box = best_box if best_box is not None else _LocalBest()
-        self.balls = _cached_balls(self.d, max(0, self.k - 1)) if use_table else None
+        self.balls = (
+            _cached_balls(self.d, max(0, self.k - 1)) if self.d <= _TABLE_MAX_D else None
+        )
         self.bit = [0] + [1 << (c - 1) for c in range(1, self.d + 1)]
+        self.schedule: dict[int, tuple[tuple[int, int], ...]] = {}
 
         self.word: list[int] = []
         self.walk: list[int] = [0]
         self.used_stack: list[int] = [0]
-        root_mask = 0
-        if use_table and self.symmetric and self.k == 1:
-            root_mask = self.balls[0][0]
-        self.fmask_stack: list[int] = [root_mask]
+        self.fmask_stack: list[int] = [0]
 
         self.best = 0
         self.witnesses: list[Word] = []
@@ -228,23 +241,28 @@ class _Kernel:
         self.walk.append(w)
         used = self.used_stack[-1]
         self.used_stack.append(used + 1 if c > used else used)
-        if self.use_table:
-            t = len(self.word)
-            istar = t + 1 - self.k
-            fm = self.fmask_stack[-1]
-            lo = 0 if self.symmetric else 1
-            if istar >= lo:
-                radius = self.k - 1 if self.symmetric else min(istar, self.k) - 1
-                fm |= self.balls[radius][self.walk[istar]]
-            self.fmask_stack.append(fm)
-        else:
-            self.fmask_stack.append(0)
+        fm = self.fmask_stack[-1]
+        # the next vertex lies k steps past walk[istar]; its ball joins the mask
+        istar = len(self.word) + 1 - self.k
+        if self.balls is not None and istar >= self.lo:
+            radius = (self.k if self.symmetric else min(istar, self.k)) - 1
+            fm |= self.balls[radius][self.walk[istar]]
+        self.fmask_stack.append(fm)
 
     def _pop(self) -> None:
         self.word.pop()
         self.walk.pop()
         self.used_stack.pop()
         self.fmask_stack.pop()
+
+    def _pairs(self, j: int) -> tuple[tuple[int, int], ...]:
+        """The (i, threshold) schedule for a new vertex at walk index j."""
+        k = self.k
+        last = self.lo if self.balls is None else max(self.lo, j - k + 1)
+        return tuple(
+            (i, min(j - i, k) if self.symmetric else min(j - i, k, i))
+            for i in range(j - 2, last - 1, -1)
+        )
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -275,26 +293,16 @@ class _Kernel:
         if self.target is not None and n >= self.target:
             raise _TargetReached()
 
-    def _accept(self, code: Word) -> bool:
-        if check_spread(code, self.params) is not None:
-            return False
-        if self.l_req is not None and bit_runs(code).longest < self.k + self.l_req:
-            return False
-        return True
-
-    def _close_general(self, code: Word) -> None:
+    def _close(self, code: Word) -> None:
+        """Verify a closed word and record it if it is a wanted code."""
         n = len(code)
-        if n >= 4 and (self.collect_all or n >= self.best_box.get()):
-            if self._accept(code):
-                self._record(code)
-
-    def _close_symmetric(self) -> None:
-        n = 2 * len(self.word)
-        if n >= 4 and (self.collect_all or n >= self.best_box.get()):
-            half = tuple(self.word)
-            code = half + half
-            if self._accept(code):
-                self._record(code)
+        if n < 4 or not (self.collect_all or n >= self.best_box.get()):
+            return
+        if check_spread(code, self.params) is not None:
+            return
+        if self.l_req is not None and bit_runs(code).longest < self.k + self.l_req:
+            return
+        self._record(code)
 
     # -- candidate generation ----------------------------------------------
     # Lists are built in descending label order so that pop() explores
@@ -302,80 +310,32 @@ class _Kernel:
 
     def _candidates(self) -> list[tuple[int, int]]:
         t = len(self.word)
-        j = t + 1
+        pairs = self.schedule.get(t + 1)
+        if pairs is None:
+            pairs = self.schedule[t + 1] = self._pairs(t + 1)
         v = self.walk[t]
         walk = self.walk
-        k = self.k
+        bit = self.bit
+        fm = self.fmask_stack[t]
         used = self.used_stack[t]
         maxc = used + 1 if used < self.d else self.d
-        bit = self.bit
         out: list[tuple[int, int]] = []
-        if self.use_table:
-            fm = self.fmask_stack[t]
-            if self.symmetric:
-                for c in range(maxc, 0, -1):
-                    w = v ^ bit[c]
-                    if w == 0 or (fm >> w) & 1:
-                        continue
-                    ok = True
-                    for m in range(2, k):
-                        i = j - m
-                        if i < 0:
-                            break
-                        if (walk[i] ^ w).bit_count() < m:
-                            ok = False
-                            break
-                    if ok:
-                        out.append((c, w))
+        for c in range(maxc, 0, -1):
+            w = v ^ bit[c]
+            if w == 0:
+                # back at the origin: a closed code in general mode; a
+                # symmetric half-word never revisits it and closes by doubling
+                if not self.symmetric:
+                    self._count_node()
+                    self._close(tuple(self.word) + (c,))
+                continue
+            if (fm >> w) & 1:
+                continue
+            for i, thr in pairs:
+                if (walk[i] ^ w).bit_count() < thr:
+                    break
             else:
-                for c in range(maxc, 0, -1):
-                    w = v ^ bit[c]
-                    if w == 0:
-                        self._count_node()
-                        self._close_general(tuple(self.word) + (c,))
-                        continue
-                    if (fm >> w) & 1:
-                        continue
-                    ok = True
-                    for m in range(2, k):
-                        i = j - m
-                        if i < 1:
-                            break
-                        thr = m if i >= m else i
-                        if (walk[i] ^ w).bit_count() < thr:
-                            ok = False
-                            break
-                    if ok:
-                        out.append((c, w))
-        else:
-            if self.symmetric:
-                for c in range(maxc, 0, -1):
-                    w = v ^ bit[c]
-                    if w == 0:
-                        continue
-                    ok = True
-                    for i in range(t, -1, -1):
-                        thr = min(j - i, k)
-                        if (walk[i] ^ w).bit_count() < thr:
-                            ok = False
-                            break
-                    if ok:
-                        out.append((c, w))
-            else:
-                for c in range(maxc, 0, -1):
-                    w = v ^ bit[c]
-                    if w == 0:
-                        self._count_node()
-                        self._close_general(tuple(self.word) + (c,))
-                        continue
-                    ok = True
-                    for i in range(t, 0, -1):
-                        thr = min(j - i, k, i)
-                        if (walk[i] ^ w).bit_count() < thr:
-                            ok = False
-                            break
-                    if ok:
-                        out.append((c, w))
+                out.append((c, w))
         return out
 
     # -- traversal -----------------------------------------------------------
@@ -399,7 +359,7 @@ class _Kernel:
                 self._push(c, w)
                 self._count_node()
                 if self.symmetric:
-                    self._close_symmetric()
+                    self._close(tuple(self.word) * 2)
                 t = len(self.word)
                 if self.stop_depth is not None and t >= self.stop_depth:
                     self.frontier.append(tuple(self.word))
@@ -424,19 +384,7 @@ class _RunResult:
     stop_reason: str
 
 
-def _kernel_for(
-    params: CodeParams,
-    mode: str,
-    l_req: int | None,
-    max_word: int,
-    collect_all: bool,
-    best_box=None,
-) -> _Kernel:
-    use_table = params.d <= _TABLE_MAX_D
-    return _Kernel(params, mode, l_req, max_word, collect_all, use_table, best_box)
-
-
-_WORKER_BEST: _SharedBest | _LocalBest | None = None
+_WORKER_BEST: _SharedBest | None = None
 
 
 def _worker_init(shared_value) -> None:
@@ -444,14 +392,19 @@ def _worker_init(shared_value) -> None:
     _WORKER_BEST = _SharedBest(shared_value)
 
 
-def _run_subtree(payload: tuple) -> tuple:
-    (d, k, mode, l_req, max_word, collect_all, prefix, node_budget, deadline) = payload
-    best_box = _WORKER_BEST if _WORKER_BEST is not None else _LocalBest()
-    kernel = _kernel_for(
-        CodeParams(d, k), mode, l_req, max_word, collect_all, best_box
-    )
+def _run_subtree(task: tuple, best_box=None) -> tuple:
+    """Search every extension of one prefix: the unit of work of every run.
+
+    A pool worker shares the incumbent set up by :func:`_worker_init`; an
+    in-process caller passes its own ``best_box``.
+    """
+    (d, k, mode, l_req, max_word, collect_all, target, deadline, prefix, node_budget) = task
+    if best_box is None:
+        best_box = _WORKER_BEST
+    kernel = _Kernel(CodeParams(d, k), mode, l_req, max_word, collect_all, best_box)
     kernel.node_budget = node_budget
     kernel.deadline = deadline
+    kernel.target = target
     kernel.replay(prefix)
     reason = kernel.run()
     return (kernel.best, kernel.witnesses, kernel.nodes, reason)
@@ -464,93 +417,77 @@ def _merge_stop(reasons: list[str]) -> str:
     return "complete"
 
 
+def _pool_map(payloads: list[tuple], workers: int, incumbent: int) -> list[tuple] | None:
+    """Run the tasks in a process pool that shares the incumbent length;
+    None when no pool can be started here."""
+    try:
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:
+        ctx = multiprocessing.get_context("spawn")
+    try:
+        shared_value = ctx.Value("q", incumbent)
+        with ctx.Pool(
+            processes=workers,
+            initializer=_worker_init,
+            initargs=(shared_value,),
+        ) as pool:
+            return pool.map(_run_subtree, payloads)
+    except (OSError, RuntimeError):
+        return None
+
+
 def _run_search(
     params: CodeParams,
     mode: str,
     l_req: int | None,
     options: SearchOptions,
+    collect_all: bool = False,
 ) -> _RunResult:
-    max_word = min(
-        options.max_length if options.max_length is not None else 1 << params.d,
-        1 << params.d,
-    )
+    """Run one search; ``collect_all`` keeps every valid code (test oracle)."""
+    full = 1 << params.d
+    max_word = full if options.max_length is None else min(options.max_length, full)
     deadline = (
         time.monotonic() + options.time_limit if options.time_limit is not None else None
     )
+    job = (params.d, params.k, mode, l_req, max_word, collect_all, options.target, deadline)
 
-    if options.workers == 1:
-        kernel = _kernel_for(params, mode, l_req, max_word, options.collect_all)
-        kernel.node_budget = options.node_budget
-        kernel.deadline = deadline
-        kernel.target = options.target
-        reason = kernel.run()
-        raws = _final_witnesses(kernel.witnesses, kernel.best, options.collect_all)
-        return _RunResult(kernel.best, raws, kernel.nodes, reason)
-
-    # multi-worker: split the tree at a fixed prefix depth, farm out subtrees
-    depth_cap = max_word // 2 if mode != "general" else max_word
-    stop_depth = min(max(4, params.k + 3), max(depth_cap - 1, 1))
-    coordinator = _kernel_for(params, mode, l_req, max_word, options.collect_all)
-    coordinator.deadline = deadline
-    coordinator.node_budget = options.node_budget
-    coordinator.stop_depth = stop_depth
-    reason = coordinator.run()
-    results: list[tuple[int, list[Word], int, str]] = [
-        (coordinator.best, coordinator.witnesses, coordinator.nodes, reason)
-    ]
-    tasks = coordinator.frontier
-    if tasks and reason == "complete":
-        budget_left = None
-        if options.node_budget is not None:
-            budget_left = max(1, (options.node_budget - coordinator.nodes))
-        per_task_budget = (
-            None if budget_left is None else max(1, budget_left // len(tasks))
-        )
-        payloads = [
-            (
-                params.d,
-                params.k,
-                mode,
-                l_req,
-                max_word,
-                options.collect_all,
-                prefix,
-                per_task_budget,
-                deadline,
-            )
-            for prefix in tasks
-        ]
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            ctx = multiprocessing.get_context("spawn")
-        shared_value = ctx.Value("q", coordinator.best)
-        try:
-            with ctx.Pool(
-                processes=options.workers,
-                initializer=_worker_init,
-                initargs=(shared_value,),
-            ) as pool:
-                results.extend(pool.map(_run_subtree, payloads))
-        except (OSError, RuntimeError):
-            # no subprocess support here: run the same tasks in-process
-            box = _LocalBest(coordinator.best)
-            for payload in payloads:
-                kernel = _kernel_for(
-                    params, mode, l_req, max_word, options.collect_all, box
-                )
-                kernel.node_budget = payload[7]
-                kernel.deadline = deadline
-                kernel.replay(payload[6])
-                r = kernel.run()
-                results.append((kernel.best, kernel.witnesses, kernel.nodes, r))
+    results: list[tuple[int, list[Word], int, str]] = []
+    tasks: list[tuple[Word, int | None]] = [((), options.node_budget)]
+    if options.workers > 1:
+        # split the tree at a fixed prefix depth, farm out subtrees
+        depth_cap = max_word // 2 if mode != "general" else max_word
+        stop_depth = min(max(4, params.k + 3), max(depth_cap - 1, 1))
+        coordinator = _Kernel(params, mode, l_req, max_word, collect_all)
+        coordinator.deadline = deadline
+        coordinator.node_budget = options.node_budget
+        coordinator.stop_depth = stop_depth
+        reason = coordinator.run()
+        results.append((coordinator.best, coordinator.witnesses, coordinator.nodes, reason))
+        prefixes = coordinator.frontier if reason == "complete" else []
+        per_task_budget = None
+        if options.node_budget is not None and prefixes:
+            budget_left = max(1, options.node_budget - coordinator.nodes)
+            per_task_budget = max(1, budget_left // len(prefixes))
+        tasks = [(prefix, per_task_budget) for prefix in prefixes]
+    payloads = [job + task for task in tasks]
+    incumbent = max((r[0] for r in results), default=0)
+    done = None
+    if options.workers > 1 and payloads:
+        done = _pool_map(payloads, options.workers, incumbent)
+    if done is None:
+        # one worker, or no subprocess support here: the same tasks in-process
+        box = _LocalBest(incumbent)
+        done = [_run_subtree(payload, box) for payload in payloads]
+    results.extend(done)
 
     best = max(r[0] for r in results)
     raws: list[Word] = []
     for r in results:
-        raws.extend(_final_witnesses(r[1], best, options.collect_all))
+        raws.extend(_final_witnesses(r[1], best, collect_all))
     nodes = sum(r[2] for r in results)
     stop = _merge_stop([r[3] for r in results])
+    if stop == "complete" and max_word < full:
+        stop = "length"  # longer codes were never looked at: not a proof
     return _RunResult(best, raws, nodes, stop)
 
 
@@ -650,57 +587,3 @@ def enumerate_max(
             f"search stopped early ({result.stop_reason}); no class list is claimed"
         )
     return classify(result.raw_witnesses)
-
-
-def all_valid_codes(
-    params: CodeParams,
-    max_length_bound: int,
-    mode: str = "general",
-) -> list[Word]:
-    """Every valid code in the symmetry-broken space, any length.
-
-    Testing aid for completeness comparisons against unpruned
-    enumeration; output is sorted by (length, word).
-    """
-    options = SearchOptions(max_length=max_length_bound, collect_all=True)
-    result = _run_search(params, mode, None, options)
-    if result.stop_reason != "complete":
-        raise IncompleteEnumerationError("collect-all run did not finish")
-    return sorted(result.raw_witnesses, key=lambda w: (len(w), w))
-
-
-def enumerate_codes_bruteforce(params: CodeParams, max_length_bound: int) -> list[Word]:
-    """Unpruned oracle: every closed word that is a valid code.
-
-    Enumerates all origin-rooted self-avoiding closed walks up to the
-    bound with no spread-based pruning at all, then filters with the
-    set-based checker.  Exponential; intended for toy dimensions.
-    """
-    d = params.d
-    found: list[Word] = []
-    word: list[int] = []
-    seen = {0}
-    bit = [0] + [1 << (c - 1) for c in range(1, d + 1)]
-    cap = min(max_length_bound, 1 << d)
-
-    def rec(v: int) -> None:
-        t = len(word)
-        for c in range(1, d + 1):
-            w = v ^ bit[c]
-            if w == 0:
-                if t + 1 >= 4:
-                    code = tuple(word) + (c,)
-                    if brute_force_check(code, params) is None:
-                        found.append(code)
-                continue
-            if t + 1 >= cap or w in seen:
-                continue
-            seen.add(w)
-            word.append(c)
-            rec(w)
-            word.pop()
-            seen.discard(w)
-
-    if cap >= 4:
-        rec(0)
-    return sorted(found, key=lambda w: (len(w), w))

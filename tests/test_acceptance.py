@@ -20,9 +20,7 @@ from circuitcodes import (
     canonical_form,
     check_spread,
     check_window_bitrun_property,
-    enumerate_codes_bruteforce,
     enumerate_max,
-    all_valid_codes,
     family_symmetric_max,
     in_family,
     lookup,
@@ -32,6 +30,7 @@ from circuitcodes import (
     symmetric_max,
 )
 from circuitcodes.cli import main as cli_main
+from circuitcodes.oracles import all_valid_codes, enumerate_codes_bruteforce
 
 from conftest import closed_words
 

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from circuitcodes import cli
 from circuitcodes.cli import CodeRecord, main
+from circuitcodes.tables import KnownValue
 
 
 def run_cli(capsys, *argv):
@@ -147,12 +149,23 @@ class TestSearch:
         assert code == 1
 
     def test_max_length_flag_bounds_the_search(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "search", "--d", "3", "--k", "1", "--max-length", "6"
-        )
-        assert code == 0
-        record = json.loads(out.splitlines()[0])
-        assert record["n"] == 6 and record["exhaustive"] is True
+        # a capped run is not a proof: exit 3 and no table verdict
+        for d, k, cap in (("3", "1", "6"), ("5", "2", "10")):
+            code, out, err = run_cli(
+                capsys, "search", "--d", d, "--k", k, "--max-length", cap
+            )
+            assert code == 3
+            record = json.loads(out.splitlines()[0])
+            assert record["n"] == int(cap) and record["exhaustive"] is False
+            assert "MATCH" not in out and "MISMATCH" not in out
+            assert "truncated (length)" in err
+
+    def test_table_mismatch_exits_4(self, capsys, monkeypatch):
+        wrong = KnownValue("general", 16, False, "wrong on purpose")
+        monkeypatch.setattr(cli, "lookup", lambda params, mode, l=None: wrong)
+        code, out, _ = run_cli(capsys, "search", "--d", "5", "--k", "2")
+        assert code == 4
+        assert "MISMATCH n=14 expected=16" in out
 
     def test_time_limit_flag_truncates(self, capsys):
         code, out, _ = run_cli(

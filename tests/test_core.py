@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from circuitcodes import (
     CodeParams,
-    DeltaTracker,
     MalformedSequenceError,
     Segment,
     as_word,
@@ -21,6 +20,7 @@ from circuitcodes import (
     rotate,
     segment_labels,
 )
+from circuitcodes.oracles import DeltaTracker
 
 
 class TestParams:

@@ -6,18 +6,17 @@ from circuitcodes import (
     CodeParams,
     IncompleteEnumerationError,
     SearchOptions,
-    all_valid_codes,
     brute_force_check,
     canonical_form,
     classify,
-    enumerate_codes_bruteforce,
     enumerate_max,
     family_symmetric_max,
     is_symmetric,
     max_length,
     symmetric_max,
 )
-from circuitcodes.search import _Kernel, _TABLE_MAX_D
+from circuitcodes import search
+from circuitcodes.oracles import all_valid_codes, enumerate_codes_bruteforce
 
 
 class TestSmallMaxima:
@@ -143,8 +142,13 @@ class TestBudgets:
             enumerate_max(CodeParams(16, 9), SearchOptions(node_budget=500))
 
     def test_max_length_bound(self):
+        # a cap below 2^d leaves longer codes unsearched: not a proof
         rec = max_length(CodeParams(3, 1), SearchOptions(max_length=6))
         assert rec.n == 6
+        assert rec.stop_reason == "length"
+        assert not rec.exhaustive
+        rec = max_length(CodeParams(3, 1), SearchOptions(max_length=8))
+        assert rec.n == 8
         assert rec.exhaustive
 
 
@@ -251,17 +255,27 @@ class TestSymmetricModeAgainstBruteForce:
         assert search_classes == brute_classes
 
 
+_PATH_CASES = [
+    (3, 1, "general", None, 8), (4, 2, "general", None, 16),
+    (5, 2, "general", None, 32), (4, 2, "symmetric", None, 16),
+    (6, 3, "symmetric", None, 64), (3, 1, "symmetric", None, 8),
+    (4, 1, "symmetric", None, 16), (8, 4, "family", 3, 256),
+    # capped: the full (6,2) symmetric tree takes 20 s per path
+    (6, 2, "symmetric", None, 24),
+]
+
+
 class TestKernelPaths:
     @pytest.mark.parametrize(
-        "d,k,mode",
-        [(3, 1, "general"), (4, 2, "general"), (5, 2, "general"),
-         (4, 2, "symmetric"), (6, 3, "symmetric")],
+        "d,k,mode,l,max_word", _PATH_CASES, ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in _PATH_CASES]
     )
-    def test_table_and_loop_paths_identical(self, d, k, mode):
-        assert d <= _TABLE_MAX_D
+    def test_table_and_loop_paths_identical(self, monkeypatch, d, k, mode, l, max_word):
+        assert d <= search._TABLE_MAX_D
         results = []
-        for use_table in (True, False):
-            kern = _Kernel(CodeParams(d, k), mode, None, 1 << d, False, use_table)
+        for table_max_d in (search._TABLE_MAX_D, 0):
+            monkeypatch.setattr(search, "_TABLE_MAX_D", table_max_d)
+            kern = search._Kernel(CodeParams(d, k), mode, l, max_word, False)
+            assert (kern.balls is not None) == (table_max_d > 0)
             reason = kern.run()
             results.append((kern.best, sorted(kern.witnesses), kern.nodes, reason))
         assert results[0] == results[1]
@@ -270,6 +284,35 @@ class TestKernelPaths:
         rec = max_length(CodeParams(14, 7), SearchOptions(node_budget=200))
         assert rec.nodes == 200
         assert not rec.exhaustive
+
+    @pytest.mark.parametrize("d,k,run", [(5, 2, max_length), (8, 4, symmetric_max)])
+    def test_in_process_fallback_matches_one_worker(self, monkeypatch, d, k, run):
+        single = run(CodeParams(d, k))
+        real_context = search.multiprocessing.get_context
+
+        class NoPool:
+            def __init__(self, method):
+                self.Value = real_context(method).Value
+
+            def Pool(self, *args, **kwargs):
+                raise OSError("no process pool")
+
+        monkeypatch.setattr(search.multiprocessing, "get_context", NoPool)
+        rec = run(CodeParams(d, k), SearchOptions(workers=2))
+        assert rec.witnesses == single.witnesses
+        assert rec.nodes == single.nodes
+        assert rec.exhaustive
+
+
+class TestNodeCounts:
+    """Node totals of the current pruning rules; a new rule changes them
+    on purpose and updates these numbers with its proof of soundness."""
+
+    def test_pinned_totals(self, rec_52, rec_63, rec_84_sym):
+        assert rec_52.nodes == 4605
+        assert rec_63.nodes == 12875
+        assert rec_84_sym.nodes == 4627
+        assert symmetric_max(CodeParams(9, 5)).nodes == 1967
 
 
 class TestStretchScale:
