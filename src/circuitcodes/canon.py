@@ -2,14 +2,21 @@
 
 Two transition sequences describe isomorphic codes when one can be turned
 into the other by a cyclic shift plus a relabeling of the coordinates.
-The canonical representative of a class is computed by brute force over
-rotations: relabel each rotation by first occurrence (the first new label
-becomes 1, the next 2, ...) and keep the lexicographically smallest
-word.  Traversal reversal is not part of the default isomorphism; it can
-be opted in, which additionally scans rotations of the reversed word.
+The canonical representative of a class is the lexicographically
+smallest first-occurrence relabeling (the first new label becomes 1, the
+next 2, ...) over all rotations.  Traversal reversal is not part of the
+default isomorphism; it can be opted in, which additionally considers
+rotations of the reversed word.
 
-Word lengths stay small in this domain, so the quadratic scan is
-preferred over a minimal-rotation algorithm for its obvious correctness.
+Only some rotations can win.  Relabeled, a rotation starts 1, 2, ..., R
+where R is its leading run, the number of positions before the first
+repeated label; the next entry is a repeat, so at most R.  A rotation
+with a shorter leading run is therefore smaller than one with a longer
+run, and the minimum lies among the rotations of minimal leading run.
+:func:`leading_runs` computes the run of every rotation in linear time
+and only those rotations are relabeled and compared.  The exhaustive
+search prunes by the same invariant, and the full rotation scan stays in
+``circuitcodes.oracles`` as the test reference.
 """
 
 from __future__ import annotations
@@ -28,6 +35,33 @@ def _first_occurrence_relabel(word: Word) -> tuple[Word, dict[int, int]]:
             mapping[c] = len(mapping) + 1
         out.append(mapping[c])
     return tuple(out), mapping
+
+
+def leading_runs(word: Sequence[int]) -> list[int]:
+    """Leading run of every rotation of a cyclic word.
+
+    ``runs[s]`` is the number of distinct labels that rotation ``s``
+    starts with before its first repeat (the word length if it never
+    repeats).  A rotation's run is the smaller of the distance to the
+    next occurrence of its first label and one more than the run of the
+    following rotation, so one backward sweep of two periods fixes all.
+    """
+    n = len(word)
+    gap = [n] * n
+    last: dict[int, int] = {}
+    for i in range(2 * n - 1, -1, -1):
+        c = word[i % n]
+        if i < n:
+            gap[i] = last[c] - i
+        last[c] = i
+    runs = [n] * n
+    r = n
+    for i in range(2 * n - 1, -1, -1):
+        g = gap[i % n]
+        r = g if g < r + 1 else r + 1
+        if i < n:
+            runs[i] = r
+    return runs
 
 
 @dataclass(frozen=True)
@@ -52,8 +86,10 @@ def canonical_form(
 ) -> CanonicalForm:
     """Smallest first-occurrence word over all rotations.
 
-    Ties prefer the forward orientation, then the smaller shift; the
-    result is a fixed point of canonicalization.
+    Only rotations of minimal leading run (over both orientations when
+    reversal is included) are compared.  Ties prefer the forward
+    orientation, then the smaller shift; the result is a fixed point of
+    canonicalization.
     """
     w = as_word(word)
     n = len(w)
@@ -61,11 +97,14 @@ def canonical_form(
         return CanonicalForm(word=(), shift=0, relabeling=())
     best_word: Word | None = None
     best = (0, False)
-    orientations = [(w, False)]
+    orientations = [(w, False, leading_runs(w))]
     if include_reversal:
-        orientations.append((w[::-1], True))
-    for base, reversed_flag in orientations:
+        orientations.append((w[::-1], True, leading_runs(w[::-1])))
+    shortest = min(min(runs) for _, _, runs in orientations)
+    for base, reversed_flag, runs in orientations:
         for s in range(n):
+            if runs[s] != shortest:
+                continue
             cand, _ = _first_occurrence_relabel(base[s:] + base[:s])
             if best_word is None or cand < best_word:
                 best_word = cand

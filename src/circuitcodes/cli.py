@@ -187,6 +187,9 @@ def _cmd_search(args) -> int:
     except ValueError as exc:
         _err(f"search: {exc}")
         return EXIT_INPUT
+    except InternalConsistencyError as exc:
+        _err(f"search: {exc}")
+        return EXIT_INCONSISTENT
     line = json.dumps(record.to_json_obj(), separators=(",", ":"))
     print(line)
     if args.out:
@@ -226,6 +229,9 @@ def _cmd_enumerate(args) -> int:
     except ValueError as exc:
         _err(f"enumerate: {exc}")
         return EXIT_INPUT
+    except InternalConsistencyError as exc:
+        _err(f"enumerate: {exc}")
+        return EXIT_INCONSISTENT
     for cls in classes:
         print(f"{format_sequence(cls.representative.word)} {cls.count}")
     return EXIT_OK

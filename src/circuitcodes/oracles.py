@@ -2,13 +2,18 @@
 
 They live outside the public API.  The test suite compares the pruned
 search (:func:`all_valid_codes`) against unpruned enumeration
-(:func:`enumerate_codes_bruteforce`), and the incremental odd-count of
-:class:`DeltaTracker` against the direct recount ``core.delta``.
+(:func:`enumerate_codes_bruteforce`), the run-filtered canonical form
+against the full rotation scan (:func:`canonical_form_bruteforce`), and
+the incremental odd-count of :class:`DeltaTracker` against the direct
+recount ``core.delta``.
 """
 
 from __future__ import annotations
 
-from .core import CodeParams, Word
+from typing import Sequence
+
+from .canon import CanonicalForm, _first_occurrence_relabel
+from .core import CodeParams, Word, as_word
 from .search import IncompleteEnumerationError, SearchOptions, _run_search
 from .verify import brute_force_check
 
@@ -40,6 +45,32 @@ class DeltaTracker:
     @property
     def parity(self) -> frozenset[int]:
         return frozenset(self._parity)
+
+
+def canonical_form_bruteforce(
+    word: Sequence[int], include_reversal: bool = False
+) -> CanonicalForm:
+    """Canonical form by definition: relabel every rotation, keep the least.
+
+    Scans the forward rotations by shift, then the reversed ones, and
+    keeps the first rotation that attains the minimum.
+    """
+    w = as_word(word)
+    if not w:
+        return CanonicalForm(word=(), shift=0, relabeling=())
+    bases = [(w, False)] + ([(w[::-1], True)] if include_reversal else [])
+    best = None
+    for base, reversed_flag in bases:
+        for s in range(len(w)):
+            cand, mapping = _first_occurrence_relabel(base[s:] + base[:s])
+            if best is None or cand < best.word:
+                best = CanonicalForm(
+                    word=cand,
+                    shift=s,
+                    relabeling=tuple(sorted(mapping.items())),
+                    reversal_used=reversed_flag,
+                )
+    return best
 
 
 def all_valid_codes(

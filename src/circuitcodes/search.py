@@ -29,7 +29,43 @@ the 2^d vertices of everything within the threshold of some walk[i] with
 j - i >= k, grown by one ball per push, so the schedule stops at
 i > j - k.  Without it the mask stays 0 and the schedule covers every i.
 
-Everything a pruned partial word could ever become is invalid; everything
+General mode adds three rules that make it a branch-and-bound search.
+Symmetric and family runs do not use them.
+
+(a) Rotation breaking (orderly generation, after McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 1998).  The leading run R of a
+    word is the number of labels before its first repeat (0 while there
+    is none).  Relabeled by first occurrence, a rotation with a shorter
+    leading run is lexicographically smaller, so the canonical rotation
+    of a code has the minimal leading run (see ``canon``).  Appending
+    label c at index j, where c last occurred at p >= 1, is pruned if
+    R == 0 or j - p < R: the rotation starting at p then has a leading
+    run of at most j - p, shorter than the word's own (R, or j if this
+    is its first repeat), and every completion is a non-canonical
+    rotation.  The canonical rotation never meets this
+    case, so every class keeps its canonical word.  A closed word is
+    also dropped when a rotation across the wrap has a shorter run, so
+    exactly the rotations of minimal leading run are found.
+(b) Parity bound (in the spirit of Ostergard & Pettersson, "Exhaustive
+    search for snake-in-the-box codes", Graphs Combin. 2015).  With the
+    ball mask fm at depth t, every later vertex walk[t+1..N-1] lies
+    outside fm, the vertices are distinct, and along the cycle they
+    alternate in parity.  So each parity class of the free vertices
+    holds at least floor((N-1-t)/2) of them, which gives
+    N <= t + 2 * min(|free & even|, |free & odd|) + 2.  A node where
+    that is below the floor cannot lead to a code of the floor's length
+    and is not expanded.  Without the ball mask (d > 11) the bound is off.
+(c) A static floor.  Every symmetric code is a general code, so the
+    symmetric maximum is a lower bound on K(d,k).  A general run that
+    can claim a maximum (not collect-all, length cap 2^d) first runs the
+    symmetric search in-process on the same node budget and deadline.
+    Its length seeds the incumbent, so shorter closures are not
+    verified, and it is the floor of rule (b).  The floor is fixed for
+    the run, and the pool's shared incumbent never feeds rule (b), so
+    node totals do not depend on the number of workers.
+
+Everything a pruned partial word could ever become is invalid, or a
+non-canonical rotation, or shorter than a code already known; everything
 accepted as a code has passed the full verifier.  The completeness of
 this arrangement against unpruned enumeration is part of the test suite.
 """
@@ -41,9 +77,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .canon import IsomorphismClass, canonical_form, classify
+from .canon import IsomorphismClass, canonical_form, classify, leading_runs
 from .core import CodeParams, Word
-from .verify import bit_runs, check_spread
+from .verify import InternalConsistencyError, bit_runs, check_spread
 
 _TABLE_MAX_D = 11  # ball-mask tables take 2^d ints of 2^d bits; cap the memory
 
@@ -116,6 +152,7 @@ class SearchRecord:
             "l": self.l,
             "n": self.n,
             "exhaustive": self.exhaustive,
+            "stop_reason": self.stop_reason,
             "witnesses": [list(w) for w in self.witnesses],
             "nodes": self.nodes,
             "seconds": round(self.seconds, 3),
@@ -155,6 +192,16 @@ def _cached_balls(d: int, max_radius: int) -> list[list[int]]:
     if key not in _BALL_CACHE:
         _BALL_CACHE[key] = _ball_masks(d, max_radius)
     return _BALL_CACHE[key]
+
+
+_EVEN_CACHE: dict[int, int] = {}
+
+
+def _even_mask(d: int) -> int:
+    """Bitmask of the vertices of even weight in the d-cube."""
+    if d not in _EVEN_CACHE:
+        _EVEN_CACHE[d] = sum(1 << v for v in range(1 << d) if v.bit_count() % 2 == 0)
+    return _EVEN_CACHE[d]
 
 
 class _LocalBest:
@@ -197,6 +244,7 @@ class _Kernel:
         max_word: int,
         collect_all: bool,
         best_box=None,
+        floor: int = 0,
     ) -> None:
         self.params = params
         self.d = params.d
@@ -214,11 +262,24 @@ class _Kernel:
         )
         self.bit = [0] + [1 << (c - 1) for c in range(1, self.d + 1)]
         self.schedule: dict[int, tuple[tuple[int, int], ...]] = {}
+        # rule (b) of the module docstring: general mode with the ball mask
+        self.floor = floor
+        self.even = (
+            _even_mask(self.d)
+            if not self.symmetric and floor > 0 and self.balls is not None
+            else None
+        )
 
         self.word: list[int] = []
         self.walk: list[int] = [0]
         self.used_stack: list[int] = [0]
         self.fmask_stack: list[int] = [0]
+        # rule (a) state, general mode only: last index of each label, the
+        # value it replaced per push, and the leading run R per depth (0
+        # before any repeat)
+        self.last = [-1] * (self.d + 1)
+        self.last_stack: list[int] = []
+        self.run_stack: list[int] = [0]
 
         self.best = 0
         self.witnesses: list[Word] = []
@@ -237,6 +298,13 @@ class _Kernel:
             self._push(c, self.walk[-1] ^ self.bit[c])
 
     def _push(self, c: int, w: int) -> None:
+        if not self.symmetric:
+            j = len(self.word)
+            prev = self.last[c]
+            self.last_stack.append(prev)
+            self.last[c] = j
+            # a surviving first repeat is always of word[0]; it fixes R
+            self.run_stack.append(j if prev == 0 else self.run_stack[-1])
         self.word.append(c)
         self.walk.append(w)
         used = self.used_stack[-1]
@@ -250,7 +318,10 @@ class _Kernel:
         self.fmask_stack.append(fm)
 
     def _pop(self) -> None:
-        self.word.pop()
+        c = self.word.pop()
+        if not self.symmetric:
+            self.last[c] = self.last_stack.pop()
+            self.run_stack.pop()
         self.walk.pop()
         self.used_stack.pop()
         self.fmask_stack.pop()
@@ -298,6 +369,11 @@ class _Kernel:
         n = len(code)
         if n < 4 or not (self.collect_all or n >= self.best_box.get()):
             return
+        if not self.symmetric:
+            # rule (a) across the wrap: some rotation has a shorter run
+            runs = leading_runs(code)
+            if min(runs) < runs[0]:
+                return
         if check_spread(code, self.params) is not None:
             return
         if self.l_req is not None and bit_runs(code).longest < self.k + self.l_req:
@@ -319,8 +395,26 @@ class _Kernel:
         fm = self.fmask_stack[t]
         used = self.used_stack[t]
         maxc = used + 1 if used < self.d else self.d
+        labels = range(maxc, 0, -1)
+        if not self.symmetric:
+            if self.even is not None:
+                # rule (b): reaching the floor needs 2 * min(free even,
+                # free odd) >= need; half - taken bounds both from below
+                need = self.floor - t - 2
+                if need > 0:
+                    half = 1 << (self.d - 1)
+                    taken = fm.bit_count()
+                    if 2 * (half - taken) < need:
+                        even = (fm & self.even).bit_count()
+                        if 2 * (half - max(even, taken - even)) < need:
+                            return []
+            # rule (a): keep c unless its last index p >= 1 has t - p < R
+            r = self.run_stack[t]
+            cut = t - r if r else 0
+            last = self.last
+            labels = [c for c in labels if last[c] <= cut]
         out: list[tuple[int, int]] = []
-        for c in range(maxc, 0, -1):
+        for c in labels:
             w = v ^ bit[c]
             if w == 0:
                 # back at the origin: a closed code in general mode; a
@@ -398,10 +492,11 @@ def _run_subtree(task: tuple, best_box=None) -> tuple:
     A pool worker shares the incumbent set up by :func:`_worker_init`; an
     in-process caller passes its own ``best_box``.
     """
-    (d, k, mode, l_req, max_word, collect_all, target, deadline, prefix, node_budget) = task
+    (d, k, mode, l_req, max_word, collect_all, target, deadline, floor, prefix,
+     node_budget) = task
     if best_box is None:
         best_box = _WORKER_BEST
-    kernel = _Kernel(CodeParams(d, k), mode, l_req, max_word, collect_all, best_box)
+    kernel = _Kernel(CodeParams(d, k), mode, l_req, max_word, collect_all, best_box, floor)
     kernel.node_budget = node_budget
     kernel.deadline = deadline
     kernel.target = target
@@ -436,44 +531,48 @@ def _pool_map(payloads: list[tuple], workers: int, incumbent: int) -> list[tuple
         return None
 
 
-def _run_search(
+def _run_tree(
     params: CodeParams,
     mode: str,
     l_req: int | None,
-    options: SearchOptions,
-    collect_all: bool = False,
+    max_word: int,
+    collect_all: bool,
+    target: int | None,
+    deadline: float | None,
+    node_budget: int | None,
+    workers: int,
+    floor: int,
 ) -> _RunResult:
-    """Run one search; ``collect_all`` keeps every valid code (test oracle)."""
-    full = 1 << params.d
-    max_word = full if options.max_length is None else min(options.max_length, full)
-    deadline = (
-        time.monotonic() + options.time_limit if options.time_limit is not None else None
-    )
-    job = (params.d, params.k, mode, l_req, max_word, collect_all, options.target, deadline)
+    """Traverse one search tree, split over ``workers`` processes."""
+    job = (params.d, params.k, mode, l_req, max_word, collect_all, target, deadline, floor)
 
     results: list[tuple[int, list[Word], int, str]] = []
-    tasks: list[tuple[Word, int | None]] = [((), options.node_budget)]
-    if options.workers > 1:
+    tasks: list[tuple[Word, int | None]] = [((), node_budget)]
+    if workers > 1:
         # split the tree at a fixed prefix depth, farm out subtrees
         depth_cap = max_word // 2 if mode != "general" else max_word
         stop_depth = min(max(4, params.k + 3), max(depth_cap - 1, 1))
-        coordinator = _Kernel(params, mode, l_req, max_word, collect_all)
+        coordinator = _Kernel(
+            params, mode, l_req, max_word, collect_all, _LocalBest(floor), floor
+        )
         coordinator.deadline = deadline
-        coordinator.node_budget = options.node_budget
+        coordinator.node_budget = node_budget
         coordinator.stop_depth = stop_depth
         reason = coordinator.run()
         results.append((coordinator.best, coordinator.witnesses, coordinator.nodes, reason))
         prefixes = coordinator.frontier if reason == "complete" else []
         per_task_budget = None
-        if options.node_budget is not None and prefixes:
-            budget_left = max(1, options.node_budget - coordinator.nodes)
+        if node_budget is not None and prefixes:
+            budget_left = max(1, node_budget - coordinator.nodes)
             per_task_budget = max(1, budget_left // len(prefixes))
         tasks = [(prefix, per_task_budget) for prefix in prefixes]
     payloads = [job + task for task in tasks]
-    incumbent = max((r[0] for r in results), default=0)
+    # the floor seeds the incumbent; the pool's dynamic incumbent only
+    # decides which closures get verified, never which nodes are expanded
+    incumbent = max([floor] + [r[0] for r in results])
     done = None
-    if options.workers > 1 and payloads:
-        done = _pool_map(payloads, options.workers, incumbent)
+    if workers > 1 and payloads:
+        done = _pool_map(payloads, workers, incumbent)
     if done is None:
         # one worker, or no subprocess support here: the same tasks in-process
         box = _LocalBest(incumbent)
@@ -485,10 +584,63 @@ def _run_search(
     for r in results:
         raws.extend(_final_witnesses(r[1], best, collect_all))
     nodes = sum(r[2] for r in results)
-    stop = _merge_stop([r[3] for r in results])
-    if stop == "complete" and max_word < full:
-        stop = "length"  # longer codes were never looked at: not a proof
-    return _RunResult(best, raws, nodes, stop)
+    return _RunResult(best, raws, nodes, _merge_stop([r[3] for r in results]))
+
+
+def _symmetric_floor(
+    params: CodeParams, deadline: float | None, node_budget: int | None
+) -> _RunResult:
+    """The symmetric maximum, searched in-process: a lower bound on K(d,k)."""
+    full = 1 << params.d
+    return _run_tree(
+        params, "symmetric", None, full, False, None, deadline, node_budget, 1, 0
+    )
+
+
+def _run_search(
+    params: CodeParams,
+    mode: str,
+    l_req: int | None,
+    options: SearchOptions,
+    collect_all: bool = False,
+) -> _RunResult:
+    """Run one search; ``collect_all`` keeps every valid code (test oracle).
+
+    A general run that may claim a maximum first searches the symmetric
+    maximum (rule (c)); that seed shares the node budget and the deadline,
+    and its nodes count in the total.
+    """
+    full = 1 << params.d
+    max_word = full if options.max_length is None else min(options.max_length, full)
+    deadline = (
+        time.monotonic() + options.time_limit if options.time_limit is not None else None
+    )
+    node_budget = options.node_budget
+    seed = None
+    floor = 0
+    if mode == "general" and not collect_all and max_word == full:
+        seed = _symmetric_floor(params, deadline, node_budget)
+        if seed.stop_reason != "complete":
+            return seed  # its codes are general codes too, but nothing is proved
+        floor = seed.best
+        if node_budget is not None:
+            node_budget -= seed.nodes
+    result = _run_tree(
+        params, mode, l_req, max_word, collect_all, options.target, deadline,
+        node_budget, options.workers, floor,
+    )
+    if seed is not None:
+        result.nodes += seed.nodes
+        if result.best < floor:
+            if result.stop_reason == "complete":
+                raise InternalConsistencyError(
+                    f"exhaustive search found no code of the symmetric floor {floor}"
+                )
+            # stopped before it re-found a code as long as the seed's
+            result.best, result.raw_witnesses = seed.best, seed.raw_witnesses
+    if result.stop_reason == "complete" and max_word < full:
+        result.stop_reason = "length"  # longer codes were never looked at: not a proof
+    return result
 
 
 def _final_witnesses(
@@ -526,7 +678,9 @@ def max_length(params: CodeParams, options: SearchOptions | None = None) -> Sear
     """Maximum length of a (d,k) circuit code, with all witnesses.
 
     Exhaustive unless a budget interrupts; decision mode (``target``)
-    stops at the first code of at least the target length.
+    stops at the first code of at least the target length.  Unless the
+    length is capped below 2^d, the symmetric maximum is searched first
+    as a lower bound; its nodes count in ``nodes``.
     """
     options = options or SearchOptions()
     t0 = time.perf_counter()
@@ -574,7 +728,9 @@ def enumerate_max(
 ) -> list[IsomorphismClass]:
     """All maximum-length codes, partitioned into isomorphism classes.
 
-    Counts are multiplicities within the symmetry-broken search space.
+    Counts are multiplicities within the symmetry-broken search space; in
+    general mode that is one word per distinct relabeled rotation of
+    minimal leading run.
     Raises :class:`IncompleteEnumerationError` rather than returning a
     partial answer when the search was truncated.
     """

@@ -30,7 +30,11 @@ from circuitcodes import (
     symmetric_max,
 )
 from circuitcodes.cli import main as cli_main
-from circuitcodes.oracles import all_valid_codes, enumerate_codes_bruteforce
+from circuitcodes.oracles import (
+    all_valid_codes,
+    canonical_form_bruteforce,
+    enumerate_codes_bruteforce,
+)
 
 from conftest import closed_words
 
@@ -172,6 +176,8 @@ def test_criterion_08_canonicalization_properties():
         n = rng.randint(1, 30)
         word = tuple(rng.randint(1, d) for _ in range(n))
         canon = canonical_form(word).word
+        # the run-filtered scan returns the full scan's form, transform included
+        assert canonical_form(word) == canonical_form_bruteforce(word)
         assert canonical_form(canon).word == canon
         assert canonical_form(rotate(word, rng.randrange(n))).word == canon
         labels = list(range(1, d + 1))
@@ -202,9 +208,12 @@ def test_criterion_08_canonicalization_properties():
 
         yield from rec((), 0)
 
+    # every word above is a relabeling of one of these, so comparing them
+    # with the full rotation scan covers the exhaustive part too
     fo = 0
     for w in first_occurrence_words(8):
         canon = canonical_form(w).word
+        assert canon == canonical_form_bruteforce(w).word
         assert canonical_form(canon).word == canon
         for s in range(1, len(w)):
             assert canonical_form(rotate(w, s)).word == canon
@@ -212,13 +221,13 @@ def test_criterion_08_canonicalization_properties():
     _report(
         8,
         f"10000 randomized cases (N<=30, d<=10) plus {exhaustive} + {fo} "
-        f"exhaustive words at N<=8",
+        f"exhaustive words at N<=8, all equal to the full rotation scan",
     )
 
 
 def test_criterion_09_pruning_completeness():
     total = 0
-    for d, k in itertools.product((2, 3, 4), (1, 2)):
+    for d, k in itertools.product((2, 3, 4), (1, 2, 3)):
         params = CodeParams(d, k)
         brute = enumerate_codes_bruteforce(params, 12)
         pruned = all_valid_codes(params, 12)
@@ -233,6 +242,25 @@ def test_criterion_09_pruning_completeness():
         total += len(bf_classes)
     _report(9, f"pruned search reproduces every brute-force class at toy scale "
                f"({total} class comparisons)")
+
+
+def test_criterion_09_k_8_4_has_three_classes(capsys):
+    """K(8,4) = 22 = 4k+6 (k even, 2d = 3k+4), proved by exhaustion.  The
+    symmetric maximum is unique (criterion 5); the general one is not."""
+    t0 = time.perf_counter()
+    code = cli_main(["search", "--d", "8", "--k", "4"])
+    elapsed = time.perf_counter() - t0
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    record = json.loads(lines[0])
+    assert record["n"] == 22 and record["exhaustive"] is True
+    assert record["stop_reason"] == "complete"
+    assert len(record["witnesses"]) == 3
+    for w in record["witnesses"]:
+        assert check_spread(tuple(w), CodeParams(8, 4)) is None
+    assert lines[1].startswith("MATCH n=22 expected=22")
+    assert elapsed < 120.0, f"took {elapsed:.1f}s"
+    _report("9-K(8,4)", f"K(8,4) = 22, exhaustive, 3 classes, MATCH, {elapsed:.1f}s")
 
 
 def test_criterion_10_out_of_reach_scale_is_honest(capsys):

@@ -15,6 +15,8 @@ from circuitcodes import (
     is_valid_code,
     rotate,
 )
+from circuitcodes.canon import leading_runs
+from circuitcodes.oracles import canonical_form_bruteforce
 
 
 def apply_relabel(word, perm):
@@ -171,6 +173,46 @@ class TestAgainstDefinitionOracle:
                 assert canonical_form(w, include_reversal=rev).word == self.oracle(
                     w, include_reversal=rev
                 ), (w, rev)
+
+
+class TestAgainstRotationScan:
+    """Only rotations of minimal leading run are compared; the result must
+    equal the full rotation scan, shift and orientation included."""
+
+    @staticmethod
+    def run_at(word, s):
+        seen = set()
+        for i in range(len(word)):
+            c = word[(s + i) % len(word)]
+            if c in seen:
+                return i
+            seen.add(c)
+        return len(word)
+
+    def test_leading_runs_by_definition(self):
+        rng = random.Random(71)
+        for _ in range(2000):
+            word = tuple(rng.randint(1, rng.randint(1, 8)) for _ in range(rng.randint(1, 24)))
+            assert leading_runs(word) == [self.run_at(word, s) for s in range(len(word))]
+
+    def test_random_words_both_orientations(self):
+        rng = random.Random(73)
+        for _ in range(3000):
+            d = rng.randint(1, 9)
+            word = tuple(rng.randint(1, d) for _ in range(rng.randint(1, 30)))
+            for rev in (False, True):
+                assert canonical_form(word, rev) == canonical_form_bruteforce(word, rev), (
+                    word,
+                    rev,
+                )
+
+    def test_symmetric_words_tie_to_the_smallest_shift(self):
+        rng = random.Random(79)
+        for _ in range(500):
+            half = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 10)))
+            word = half * rng.randint(2, 3)
+            for rev in (False, True):
+                assert canonical_form(word, rev) == canonical_form_bruteforce(word, rev)
 
 
 class TestAreIsomorphic:

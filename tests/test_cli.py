@@ -167,6 +167,20 @@ class TestSearch:
         assert code == 4
         assert "MISMATCH n=14 expected=16" in out
 
+    def test_missed_floor_exits_4(self, capsys, monkeypatch):
+        # an exhaustive run that cannot re-find the symmetric floor is a bug
+        from circuitcodes import search
+
+        monkeypatch.setattr(
+            search, "_symmetric_floor", lambda *args: search._RunResult(16, [], 1, "complete")
+        )
+        code, out, err = run_cli(capsys, "search", "--d", "5", "--k", "2")
+        assert code == 4
+        assert out == ""
+        assert "symmetric floor 16" in err
+        code, out, err = run_cli(capsys, "enumerate", "--d", "5", "--k", "2")
+        assert code == 4 and out == ""
+
     def test_time_limit_flag_truncates(self, capsys):
         code, out, _ = run_cli(
             capsys, "search", "--d", "16", "--k", "9", "--time-limit", "0.2"

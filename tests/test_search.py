@@ -76,7 +76,8 @@ class TestRecordInvariants:
     def test_json_shape(self, rec_52):
         obj = rec_52.to_json_obj()
         assert list(obj) == [
-            "d", "k", "mode", "l", "n", "exhaustive", "witnesses", "nodes", "seconds",
+            "d", "k", "mode", "l", "n", "exhaustive", "stop_reason", "witnesses",
+            "nodes", "seconds",
         ]
         line = json.dumps(obj, separators=(",", ":"))
         assert json.loads(line) == obj
@@ -91,11 +92,13 @@ class TestRecordInvariants:
 
 class TestWorkers:
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_witnesses_and_nodes_identical(self, workers, rec_52):
-        rec = max_length(CodeParams(5, 2), SearchOptions(workers=workers))
-        assert rec.witnesses == rec_52.witnesses
-        assert rec.nodes == rec_52.nodes
-        assert rec.exhaustive
+    def test_witnesses_and_nodes_identical(self, workers, rec_52, rec_63):
+        # the pool tasks rebuild the rotation-breaking state through replay()
+        for single in (rec_52, rec_63):
+            rec = max_length(single.params, SearchOptions(workers=workers))
+            assert rec.witnesses == single.witnesses
+            assert rec.nodes == single.nodes
+            assert rec.exhaustive
 
     def test_symmetric_workers(self, rec_84_sym):
         rec = symmetric_max(CodeParams(8, 4), SearchOptions(workers=2))
@@ -132,6 +135,26 @@ class TestBudgets:
         assert not rec.exhaustive
         assert rec.stop_reason == "nodes"
 
+    def test_seeded_run_stops_at_exactly_the_budget(self):
+        # the symmetric seed spends part of the budget, the general search the rest
+        seed_nodes = symmetric_max(CodeParams(6, 3)).nodes
+        full = max_length(CodeParams(6, 3)).nodes
+        for budget in (seed_nodes // 2, seed_nodes, seed_nodes + 1, full - 1):
+            rec = max_length(CodeParams(6, 3), SearchOptions(node_budget=budget))
+            assert rec.nodes == budget
+            assert rec.stop_reason == "nodes"
+            assert not rec.exhaustive
+        rec = max_length(CodeParams(6, 3), SearchOptions(node_budget=full + 1))
+        assert rec.nodes == full and rec.exhaustive
+
+    def test_truncated_after_the_seed_keeps_its_codes(self):
+        # stopped before the general search re-finds length 16: the seed's
+        # symmetric codes are still valid general codes
+        seed = symmetric_max(CodeParams(6, 3))
+        rec = max_length(CodeParams(6, 3), SearchOptions(node_budget=seed.nodes + 1))
+        assert rec.n == seed.n == 16
+        assert rec.witnesses == seed.witnesses
+
     def test_time_limit_truncates(self):
         rec = max_length(CodeParams(16, 9), SearchOptions(time_limit=0.2))
         assert not rec.exhaustive
@@ -140,6 +163,15 @@ class TestBudgets:
     def test_truncated_enumeration_raises(self):
         with pytest.raises(IncompleteEnumerationError):
             enumerate_max(CodeParams(16, 9), SearchOptions(node_budget=500))
+
+    def test_capped_run_takes_no_seed(self, monkeypatch):
+        def no_seed(*args):
+            raise AssertionError("a length-capped run must not be seeded")
+
+        monkeypatch.setattr(search, "_symmetric_floor", no_seed)
+        rec = max_length(CodeParams(5, 2), SearchOptions(max_length=30))
+        assert rec.n == 14 and rec.stop_reason == "length"
+        assert all_valid_codes(CodeParams(4, 2), 16)
 
     def test_max_length_bound(self):
         # a cap below 2^d leaves longer codes unsearched: not a proof
@@ -216,13 +248,39 @@ class TestRotationRepresentatives:
         return tuple(out)
 
     def test_6_3_exact_representative_set(self, rec_63):
+        # general mode keeps only the rotations of minimal leading run
         from circuitcodes import rotate
+        from circuitcodes.canon import leading_runs
 
         w = rec_63.witnesses[0]
-        variants = {self._fo_relabel(rotate(w, s)) for s in range(len(w))}
+        runs = leading_runs(w)
+        variants = {
+            self._fo_relabel(rotate(w, s)) for s in range(len(w)) if runs[s] == min(runs)
+        }
         raw = {x for x in all_valid_codes(CodeParams(6, 3), 16) if len(x) == 16}
         assert raw == variants
-        assert len(variants) == 2  # rotation+relabel automorphism of order 4
+        assert w in raw
+        # runs alternate 4, 5; every even shift relabels to w itself
+        assert len(variants) == 1
+
+    def test_general_survivors_are_the_minimal_run_rotations(self):
+        # every class of every length, closures across the wrap included
+        from circuitcodes import rotate
+        from circuitcodes.canon import leading_runs
+
+        for d, k, bound in ((4, 1, 16), (5, 2, 14), (6, 3, 16)):
+            raw = all_valid_codes(CodeParams(d, k), bound)
+            by_class = {}
+            for x in raw:
+                by_class.setdefault(canonical_form(x).word, set()).add(x)
+            for canon, found in by_class.items():
+                runs = leading_runs(canon)
+                want = {
+                    self._fo_relabel(rotate(canon, s))
+                    for s in range(len(canon))
+                    if runs[s] == min(runs)
+                }
+                assert found == want, (d, k, canon)
 
     def test_8_4_symmetric_exact_representative_set(self, rec_84_sym):
         from circuitcodes import rotate
@@ -309,10 +367,38 @@ class TestNodeCounts:
     on purpose and updates these numbers with its proof of soundness."""
 
     def test_pinned_totals(self, rec_52, rec_63, rec_84_sym):
-        assert rec_52.nodes == 4605
-        assert rec_63.nodes == 12875
+        assert rec_52.nodes == 2396
+        assert rec_63.nodes == 4280
         assert rec_84_sym.nodes == 4627
         assert symmetric_max(CodeParams(9, 5)).nodes == 1967
+
+
+class TestStaticFloor:
+    """Rules (b) and (c) only cut work below the symmetric floor: without
+    the floor, the answers are the same."""
+
+    @pytest.mark.parametrize("d,k,classes", [(5, 2, 3), (6, 3, 1), (7, 4, 31)])
+    def test_floor_zero_gives_the_same_answer(self, monkeypatch, d, k, classes):
+        seeded = max_length(CodeParams(d, k))
+        monkeypatch.setattr(
+            search,
+            "_symmetric_floor",
+            lambda *args: search._RunResult(0, [], 0, "complete"),
+        )
+        unseeded = max_length(CodeParams(d, k))
+        assert unseeded.exhaustive and seeded.exhaustive
+        assert unseeded.n == seeded.n
+        assert unseeded.witnesses == seeded.witnesses
+        assert len(seeded.witnesses) == classes
+
+    def test_parity_bound_needs_the_ball_mask(self, monkeypatch):
+        kern = search._Kernel(CodeParams(6, 3), "general", None, 64, False, floor=16)
+        assert kern.even is not None
+        monkeypatch.setattr(search, "_TABLE_MAX_D", 0)
+        kern = search._Kernel(CodeParams(6, 3), "general", None, 64, False, floor=16)
+        assert kern.even is None
+        kern = search._Kernel(CodeParams(6, 3), "symmetric", None, 64, False, floor=16)
+        assert kern.even is None
 
 
 class TestStretchScale:
