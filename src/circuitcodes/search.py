@@ -29,6 +29,22 @@ the 2^d vertices of everything within the threshold of some walk[i] with
 j - i >= k, grown by one ball per push, so the schedule stops at
 i > j - k.  Without it the mask stays 0 and the schedule covers every i.
 
+A symmetric half-word of length t closes as its doubled word, a cycle of
+length 2t whose vertex t+s is walk[t] ^ walk[s].  Two vertices in the
+same half are at most t apart along that cycle, so their requirement is
+min(j-i, k), which extension pruning has already enforced (the second
+half repeats the differences of the first).  Only the cross pairs are
+left: vertex i of the first half and vertex t+s of the second, with
+1 <= i, s <= t-1, are t - |s-i| apart, so the closure needs
+
+    (walk[i] ^ walk[s] ^ walk[t]).bit_count() >= min(t - |s-i|, k).
+
+The test is symmetric in i and s, so it runs over i <= s only, nearest
+pairs first (where the violations turn up), and the s == i pairs all
+reduce to one weight test on walk[t].  It works on the raw walk; only a
+doubled word that passes it, and would be recorded, goes through the
+full verifier.
+
 General mode adds three rules that make it a branch-and-bound search.
 Symmetric and family runs do not use them.
 
@@ -57,12 +73,14 @@ Symmetric and family runs do not use them.
     and is not expanded.  Without the ball mask (d > 11) the bound is off.
 (c) A static floor.  Every symmetric code is a general code, so the
     symmetric maximum is a lower bound on K(d,k).  A general run that
-    can claim a maximum (not collect-all, length cap 2^d) first runs the
-    symmetric search in-process on the same node budget and deadline.
-    Its length seeds the incumbent, so shorter closures are not
-    verified, and it is the floor of rule (b).  The floor is fixed for
-    the run, and the pool's shared incumbent never feeds rule (b), so
-    node totals do not depend on the number of workers.
+    can claim a maximum (not collect-all, length cap 2^d) and has the
+    ball mask (d <= 11) first runs the symmetric search in-process on
+    the same node budget and deadline.  Its length seeds the incumbent,
+    so shorter closures are not verified, and it is the floor of rule
+    (b).  Without the ball mask rule (b) is off, and the seed would only
+    spend the budget, so it is skipped.  The floor is fixed for the run,
+    and the pool's shared incumbent never feeds rule (b), so node totals
+    do not depend on the number of workers.
 
 Everything a pruned partial word could ever become is invalid, or a
 non-canonical rotation, or shorter than a code already known; everything
@@ -262,6 +280,7 @@ class _Kernel:
         )
         self.bit = [0] + [1 << (c - 1) for c in range(1, self.d + 1)]
         self.schedule: dict[int, tuple[tuple[int, int], ...]] = {}
+        self.cross_schedule: dict[int, tuple[tuple[int, int, int], ...]] = {}
         # rule (b) of the module docstring: general mode with the ball mask
         self.floor = floor
         self.even = (
@@ -335,6 +354,36 @@ class _Kernel:
             for i in range(j - 2, last - 1, -1)
         )
 
+    def _cross_pairs(self, t: int) -> tuple[tuple[int, int, int], ...]:
+        """The (i, s, threshold) cross-half schedule of a half-word of
+        length t: 1 <= i < s <= t-1, nearest pairs first."""
+        k = self.k
+        return tuple(
+            (i, i + gap, min(t - gap, k))
+            for gap in range(1, t - 1)
+            for i in range(1, t - gap)
+        )
+
+    def _cross_half_clear(self) -> bool:
+        """Whether every cross-half pair of the doubled walk is far enough.
+
+        Vertex i of the first half and vertex t+s of the second are
+        t - |s-i| apart along the cycle; the second is walk[s] ^ walk[t].
+        """
+        t = len(self.word)
+        walk = self.walk
+        top = walk[t]
+        # the s == i pairs all measure walk[t] at cycle distance t
+        if top.bit_count() < min(t, self.k):
+            return False
+        pairs = self.cross_schedule.get(t)
+        if pairs is None:
+            pairs = self.cross_schedule[t] = self._cross_pairs(t)
+        for i, s, thr in pairs:
+            if (walk[i] ^ walk[s] ^ top).bit_count() < thr:
+                return False
+        return True
+
     # -- bookkeeping -------------------------------------------------------
 
     def _count_node(self) -> None:
@@ -364,12 +413,18 @@ class _Kernel:
         if self.target is not None and n >= self.target:
             raise _TargetReached()
 
-    def _close(self, code: Word) -> None:
-        """Verify a closed word and record it if it is a wanted code."""
-        n = len(code)
+    def _close(self, n: int, c: int = 0) -> None:
+        """Verify the code of length n closed at this node and record it if
+        it is a wanted code: the word plus label c back at the origin in
+        general mode, the doubled half-word in symmetric mode."""
         if n < 4 or not (self.collect_all or n >= self.best_box.get()):
             return
-        if not self.symmetric:
+        if self.symmetric:
+            if not self._cross_half_clear():
+                return
+            code = tuple(self.word) * 2
+        else:
+            code = tuple(self.word) + (c,)
             # rule (a) across the wrap: some rotation has a shorter run
             runs = leading_runs(code)
             if min(runs) < runs[0]:
@@ -421,7 +476,7 @@ class _Kernel:
                 # symmetric half-word never revisits it and closes by doubling
                 if not self.symmetric:
                     self._count_node()
-                    self._close(tuple(self.word) + (c,))
+                    self._close(t + 1, c)
                 continue
             if (fm >> w) & 1:
                 continue
@@ -452,9 +507,9 @@ class _Kernel:
                 c, w = cands.pop()
                 self._push(c, w)
                 self._count_node()
-                if self.symmetric:
-                    self._close(tuple(self.word) * 2)
                 t = len(self.word)
+                if self.symmetric:
+                    self._close(2 * t)
                 if self.stop_depth is not None and t >= self.stop_depth:
                     self.frontier.append(tuple(self.word))
                     self._pop()
@@ -606,9 +661,9 @@ def _run_search(
 ) -> _RunResult:
     """Run one search; ``collect_all`` keeps every valid code (test oracle).
 
-    A general run that may claim a maximum first searches the symmetric
-    maximum (rule (c)); that seed shares the node budget and the deadline,
-    and its nodes count in the total.
+    A general run that may claim a maximum at d <= 11 first searches the
+    symmetric maximum (rule (c)); that seed shares the node budget and the
+    deadline, and its nodes count in the total.
     """
     full = 1 << params.d
     max_word = full if options.max_length is None else min(options.max_length, full)
@@ -618,7 +673,9 @@ def _run_search(
     node_budget = options.node_budget
     seed = None
     floor = 0
-    if mode == "general" and not collect_all and max_word == full:
+    # without the ball mask rule (b) is off and the seed would only cost time
+    seeded = mode == "general" and not collect_all and max_word == full
+    if seeded and params.d <= _TABLE_MAX_D:
         seed = _symmetric_floor(params, deadline, node_budget)
         if seed.stop_reason != "complete":
             return seed  # its codes are general codes too, but nothing is proved
@@ -678,9 +735,9 @@ def max_length(params: CodeParams, options: SearchOptions | None = None) -> Sear
     """Maximum length of a (d,k) circuit code, with all witnesses.
 
     Exhaustive unless a budget interrupts; decision mode (``target``)
-    stops at the first code of at least the target length.  Unless the
-    length is capped below 2^d, the symmetric maximum is searched first
-    as a lower bound; its nodes count in ``nodes``.
+    stops at the first code of at least the target length.  For d <= 11,
+    unless the length is capped below 2^d, the symmetric maximum is
+    searched first as a lower bound; its nodes count in ``nodes``.
     """
     options = options or SearchOptions()
     t0 = time.perf_counter()
@@ -696,7 +753,7 @@ def symmetric_max(
     """Maximum length of a symmetric (d,k) circuit code.
 
     Searches half-words; a candidate closes as the doubled word, which is
-    then put through the full verifier.
+    put through the full verifier once its cross-half pairs pass.
     """
     options = options or SearchOptions()
     t0 = time.perf_counter()

@@ -136,6 +136,25 @@ def test_criterion_05_symmetric_8_4(rec_84_sym):
     )
 
 
+def test_criterion_05_symmetric_11_6(capsys):
+    """S(11,6) = 30 = 4k+6, the k = 6 instance of the symmetric theorem
+    (k even, 2d = 3k+4), proved by exhaustion: one class."""
+    t0 = time.perf_counter()
+    code = cli_main(["search", "--d", "11", "--k", "6", "--symmetric"])
+    elapsed = time.perf_counter() - t0
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    record = json.loads(lines[0])
+    assert record["n"] == 30 == 4 * 6 + 6 and record["exhaustive"] is True
+    assert record["stop_reason"] == "complete"
+    assert len(record["witnesses"]) == 1
+    assert check_spread(tuple(record["witnesses"][0]), CodeParams(11, 6)) is None
+    assert lines[1].startswith("MATCH n=30 expected=30")
+    assert elapsed < 120.0, f"took {elapsed:.1f}s"
+    _report("5-S(11,6)", f"symmetric max (11,6) = 30 = 4k+6, exhaustive, 1 class, "
+                         f"MATCH, {elapsed:.1f}s")
+
+
 def test_criterion_06_family_8_4_3():
     params = CodeParams(8, 4)
     rec = family_symmetric_max(params, 3)

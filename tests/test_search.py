@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 
 import pytest
 
@@ -8,6 +10,7 @@ from circuitcodes import (
     SearchOptions,
     brute_force_check,
     canonical_form,
+    check_spread,
     classify,
     enumerate_max,
     family_symmetric_max,
@@ -172,6 +175,16 @@ class TestBudgets:
         rec = max_length(CodeParams(5, 2), SearchOptions(max_length=30))
         assert rec.n == 14 and rec.stop_reason == "length"
         assert all_valid_codes(CodeParams(4, 2), 16)
+
+    def test_no_seed_without_the_ball_mask(self, monkeypatch):
+        # d > 11: rule (b) is off, so the whole budget goes to the general tree
+        def no_seed(*args):
+            raise AssertionError("a run without the ball mask must not be seeded")
+
+        monkeypatch.setattr(search, "_symmetric_floor", no_seed)
+        rec = max_length(CodeParams(16, 9), SearchOptions(node_budget=2500))
+        assert rec.nodes == 2500
+        assert rec.stop_reason == "nodes"
 
     def test_max_length_bound(self):
         # a cap below 2^d leaves longer codes unsearched: not a proof
@@ -362,6 +375,90 @@ class TestKernelPaths:
         assert rec.exhaustive
 
 
+def _cross_half_by_definition(word, k):
+    """Every pair of the doubled walk with one vertex strictly inside each
+    half meets the spread requirement."""
+    walk = [0]
+    for c in tuple(word) * 2:
+        walk.append(walk[-1] ^ (1 << (c - 1)))
+    t = len(word)
+    n = 2 * t
+    for a in range(1, t):
+        for b in range(t + 1, n):
+            cyc = min(b - a, n - (b - a))
+            if (walk[a] ^ walk[b]).bit_count() < min(cyc, k):
+                return False
+    return True
+
+
+class TestSymmetricClosure:
+    """The cross-half test decides a reached half-word exactly as the full
+    verifier decides its doubled word, and only the verifier records."""
+
+    @pytest.mark.parametrize(
+        "d,k", [(4, 1), (4, 2), (5, 2), (6, 3), (7, 3), (7, 4), (8, 5)]
+    )
+    def test_exact_on_every_reached_half_word(self, monkeypatch, d, k):
+        real = search._Kernel._cross_half_clear
+        verdicts = []
+
+        def checked(kern):
+            got = real(kern)
+            assert got == (check_spread(tuple(kern.word) * 2, kern.params) is None), kern.word
+            verdicts.append(got)
+            return got
+
+        monkeypatch.setattr(search._Kernel, "_cross_half_clear", checked)
+        kern = search._Kernel(CodeParams(d, k), "symmetric", None, 1 << d, True)
+        assert kern.run() == "complete"
+        # collect-all tests every half-word but the single one of length 1
+        assert len(verdicts) == kern.nodes - 1
+        assert len(kern.witnesses) == sum(verdicts) > 0
+
+    @pytest.mark.parametrize("d,k,seed", [(8, 4, 1), (11, 6, 2)])
+    def test_exact_on_random_reached_half_words(self, d, k, seed):
+        rng = random.Random(seed)
+        params = CodeParams(d, k)
+        verdicts = set()
+        for _ in range(150):
+            kern = search._Kernel(params, "symmetric", None, 1 << d, False)
+            while True:
+                cands = kern._candidates()
+                if not cands:
+                    break
+                kern._push(*rng.choice(cands))
+                if len(kern.word) >= 2:
+                    got = kern._cross_half_clear()
+                    assert got == (check_spread(tuple(kern.word) * 2, params) is None)
+                    verdicts.add(got)
+        assert verdicts == {True, False}
+
+    def test_cross_pairs_by_definition(self):
+        # arbitrary words, in-half pairs unchecked: only the cross pairs count
+        words = [w for t in range(2, 7) for w in itertools.product((1, 2, 3), repeat=t)]
+        rng = random.Random(3)
+        words += [tuple(rng.randint(1, 8) for _ in range(rng.randint(2, 20))) for _ in range(2000)]
+        outcomes = set()
+        for k in (1, 2, 3, 4, 5):
+            for w in words:
+                kern = search._Kernel(CodeParams(8, k), "symmetric", None, 256, False)
+                kern.replay(w)
+                want = _cross_half_by_definition(w, k)
+                assert kern._cross_half_clear() == want, (w, k)
+                outcomes.add(want)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("mode,l", [("symmetric", None), ("family", 3)])
+    def test_full_verifier_gates_every_record(self, monkeypatch, mode, l):
+        monkeypatch.setattr(search, "check_spread", lambda word, params: "rejected")
+        if mode == "symmetric":
+            rec = symmetric_max(CodeParams(8, 4))
+        else:
+            rec = family_symmetric_max(CodeParams(8, 4), l)
+        assert rec.exhaustive and rec.nodes == 4627
+        assert rec.n == 0 and rec.witnesses == ()
+
+
 class TestNodeCounts:
     """Node totals of the current pruning rules; a new rule changes them
     on purpose and updates these numbers with its proof of soundness."""
@@ -371,6 +468,7 @@ class TestNodeCounts:
         assert rec_63.nodes == 4280
         assert rec_84_sym.nodes == 4627
         assert symmetric_max(CodeParams(9, 5)).nodes == 1967
+        assert symmetric_max(CodeParams(11, 6)).nodes == 101315
 
 
 class TestStaticFloor:
