@@ -383,11 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="isomorphism classes of all maximum codes")
     _add_search_flags(p)
-    p.add_argument(
-        "--classes",
-        action="store_true",
-        help="print one line per isomorphism class (always on; flag kept for symmetry)",
-    )
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("canon", help="canonical form of a sequence")

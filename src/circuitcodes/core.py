@@ -170,8 +170,8 @@ def delta(word: Sequence[int], seg: Segment | None = None) -> int:
     """Number of labels occurring an odd number of times in a segment.
 
     This is the direct recount, kept deliberately free of parity-mask
-    shortcuts so it can serve as a cross-check for the incremental
-    computation.  With ``seg=None`` the whole word is counted.
+    shortcuts so it can serve as a cross-check for the mask arithmetic
+    of ``verify``.  With ``seg=None`` the whole word is counted.
     """
     labels = tuple(word) if seg is None else segment_labels(word, seg)
     counts = Counter(labels)

@@ -2,10 +2,8 @@
 
 They live outside the public API.  The test suite compares the pruned
 search (:func:`all_valid_codes`) against unpruned enumeration
-(:func:`enumerate_codes_bruteforce`), the run-filtered canonical form
-against the full rotation scan (:func:`canonical_form_bruteforce`), and
-the incremental odd-count of :class:`DeltaTracker` against the direct
-recount ``core.delta``.
+(:func:`enumerate_codes_bruteforce`) and the run-filtered canonical form
+against the full rotation scan (:func:`canonical_form_bruteforce`).
 """
 
 from __future__ import annotations
@@ -16,35 +14,6 @@ from .canon import CanonicalForm, _first_occurrence_relabel
 from .core import CodeParams, Word, as_word
 from .search import IncompleteEnumerationError, SearchOptions, _run_search
 from .verify import brute_force_check
-
-
-class DeltaTracker:
-    """Incremental odd-multiplicity count over a growing segment.
-
-    Each extension toggles one label in the parity set and moves the
-    count by exactly one, so extension is O(1).
-    """
-
-    __slots__ = ("_parity", "odd_count")
-
-    def __init__(self) -> None:
-        self._parity: set[int] = set()
-        self.odd_count = 0
-
-    def extend(self, label: int) -> int:
-        before = self.odd_count
-        if label in self._parity:
-            self._parity.discard(label)
-            self.odd_count -= 1
-        else:
-            self._parity.add(label)
-            self.odd_count += 1
-        assert abs(self.odd_count - before) == 1
-        return self.odd_count
-
-    @property
-    def parity(self) -> frozenset[int]:
-        return frozenset(self._parity)
 
 
 def canonical_form_bruteforce(

@@ -78,9 +78,11 @@ Symmetric and family runs do not use them.
     the same node budget and deadline.  Its length seeds the incumbent,
     so shorter closures are not verified, and it is the floor of rule
     (b).  Without the ball mask rule (b) is off, and the seed would only
-    spend the budget, so it is skipped.  The floor is fixed for the run,
-    and the pool's shared incumbent never feeds rule (b), so node totals
-    do not depend on the number of workers.
+    spend the budget, so it is skipped.  The floor is fixed for the run.
+    Each task of a multi-worker run starts its incumbent from the floor or
+    the coordinator's best and raises it only on its own codes; that
+    incumbent never feeds rule (b), so witnesses and node totals do not
+    depend on the number of workers.
 
 Everything a pruned partial word could ever become is invalid, or a
 non-canonical rotation, or shorter than a code already known; everything
@@ -90,6 +92,7 @@ this arrangement against unpruned enumeration is part of the test suite.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import time
 from dataclasses import dataclass, field
@@ -186,8 +189,11 @@ class _TargetReached(Exception):
     pass
 
 
+@functools.cache
 def _ball_masks(d: int, max_radius: int) -> list[list[int]]:
-    """balls[r][v] = bitmask of vertices within Hamming distance r of v."""
+    """balls[r][v] = bitmask of vertices within Hamming distance r of v.
+
+    Cached and shared by every kernel of the process: read-only."""
     size = 1 << d
     balls = [[1 << v for v in range(size)]]
     for _ in range(max_radius):
@@ -202,53 +208,10 @@ def _ball_masks(d: int, max_radius: int) -> list[list[int]]:
     return balls
 
 
-_BALL_CACHE: dict[tuple[int, int], list[list[int]]] = {}
-
-
-def _cached_balls(d: int, max_radius: int) -> list[list[int]]:
-    key = (d, max_radius)
-    if key not in _BALL_CACHE:
-        _BALL_CACHE[key] = _ball_masks(d, max_radius)
-    return _BALL_CACHE[key]
-
-
-_EVEN_CACHE: dict[int, int] = {}
-
-
+@functools.cache
 def _even_mask(d: int) -> int:
     """Bitmask of the vertices of even weight in the d-cube."""
-    if d not in _EVEN_CACHE:
-        _EVEN_CACHE[d] = sum(1 << v for v in range(1 << d) if v.bit_count() % 2 == 0)
-    return _EVEN_CACHE[d]
-
-
-class _LocalBest:
-    __slots__ = ("value",)
-
-    def __init__(self, value: int = 0) -> None:
-        self.value = value
-
-    def get(self) -> int:
-        return self.value
-
-    def offer(self, v: int) -> None:
-        if v > self.value:
-            self.value = v
-
-
-class _SharedBest:
-    """Cross-process monotone maximum; stale reads only cost extra checks."""
-
-    def __init__(self, mp_value) -> None:
-        self._v = mp_value
-
-    def get(self) -> int:
-        return self._v.value
-
-    def offer(self, v: int) -> None:
-        with self._v.get_lock():
-            if v > self._v.value:
-                self._v.value = v
+    return sum(1 << v for v in range(1 << d) if v.bit_count() % 2 == 0)
 
 
 class _Kernel:
@@ -261,8 +224,12 @@ class _Kernel:
         l_req: int | None,
         max_word: int,
         collect_all: bool,
-        best_box=None,
         floor: int = 0,
+        target: int | None = None,
+        deadline: float | None = None,
+        node_budget: int | None = None,
+        incumbent: int = 0,
+        stop_depth: int | None = None,
     ) -> None:
         self.params = params
         self.d = params.d
@@ -274,9 +241,14 @@ class _Kernel:
         self.l_req = l_req
         self.max_word = max_word
         self.collect_all = collect_all
-        self.best_box = best_box if best_box is not None else _LocalBest()
+        self.target = target
+        self.deadline = deadline
+        self.node_budget = node_budget
+        # shortest code worth verifying; raised by every recorded code
+        self.incumbent = incumbent
+        self.stop_depth = stop_depth
         self.balls = (
-            _cached_balls(self.d, max(0, self.k - 1)) if self.d <= _TABLE_MAX_D else None
+            _ball_masks(self.d, max(0, self.k - 1)) if self.d <= _TABLE_MAX_D else None
         )
         self.bit = [0] + [1 << (c - 1) for c in range(1, self.d + 1)]
         self.schedule: dict[int, tuple[tuple[int, int], ...]] = {}
@@ -303,10 +275,6 @@ class _Kernel:
         self.best = 0
         self.witnesses: list[Word] = []
         self.nodes = 0
-        self.node_budget: int | None = None
-        self.deadline: float | None = None
-        self.target: int | None = None
-        self.stop_depth: int | None = None
         self.frontier: list[Word] = []
 
     # -- state maintenance ------------------------------------------------
@@ -398,18 +366,13 @@ class _Kernel:
             raise _Truncated("time")
 
     def _record(self, code: Word) -> None:
+        # past the gate of _close, n >= incumbent >= best unless collect-all
         n = len(code)
-        if self.collect_all:
-            self.witnesses.append(code)
-            if n > self.best:
-                self.best = n
-                self.best_box.offer(n)
-        elif n > self.best:
-            self.best = n
-            self.witnesses = [code]
-            self.best_box.offer(n)
-        elif n == self.best:
-            self.witnesses.append(code)
+        if n > self.best and not self.collect_all:
+            self.witnesses = []
+        self.witnesses.append(code)
+        self.best = max(self.best, n)
+        self.incumbent = max(self.incumbent, n)
         if self.target is not None and n >= self.target:
             raise _TargetReached()
 
@@ -417,7 +380,7 @@ class _Kernel:
         """Verify the code of length n closed at this node and record it if
         it is a wanted code: the word plus label c back at the origin in
         general mode, the doubled half-word in symmetric mode."""
-        if n < 4 or not (self.collect_all or n >= self.best_box.get()):
+        if n < 4 or not (self.collect_all or n >= self.incumbent):
             return
         if self.symmetric:
             if not self._cross_half_clear():
@@ -533,123 +496,83 @@ class _RunResult:
     stop_reason: str
 
 
-_WORKER_BEST: _SharedBest | None = None
-
-
-def _worker_init(shared_value) -> None:
-    global _WORKER_BEST
-    _WORKER_BEST = _SharedBest(shared_value)
-
-
-def _run_subtree(task: tuple, best_box=None) -> tuple:
-    """Search every extension of one prefix: the unit of work of every run.
-
-    A pool worker shares the incumbent set up by :func:`_worker_init`; an
-    in-process caller passes its own ``best_box``.
-    """
-    (d, k, mode, l_req, max_word, collect_all, target, deadline, floor, prefix,
-     node_budget) = task
-    if best_box is None:
-        best_box = _WORKER_BEST
-    kernel = _Kernel(CodeParams(d, k), mode, l_req, max_word, collect_all, best_box, floor)
-    kernel.node_budget = node_budget
-    kernel.deadline = deadline
-    kernel.target = target
+def _run_subtree(
+    job: dict, prefix: Word, node_budget: int | None, incumbent: int
+) -> _RunResult:
+    """Search every extension of one prefix: the unit of work of every run,
+    in a pool worker and in-process alike.  ``job`` holds the kernel's run
+    arguments."""
+    kernel = _Kernel(**job, node_budget=node_budget, incumbent=incumbent)
     kernel.replay(prefix)
     reason = kernel.run()
-    return (kernel.best, kernel.witnesses, kernel.nodes, reason)
+    return _RunResult(kernel.best, kernel.witnesses, kernel.nodes, reason)
 
 
-def _merge_stop(reasons: list[str]) -> str:
-    for r in ("time", "nodes", "target"):
-        if r in reasons:
-            return r
-    return "complete"
-
-
-def _pool_map(payloads: list[tuple], workers: int, incumbent: int) -> list[tuple] | None:
-    """Run the tasks in a process pool that shares the incumbent length;
+def _pool_map(tasks: list[tuple], workers: int) -> list[_RunResult] | None:
+    """Run the tasks in a process pool of at most one process per task;
     None when no pool can be started here."""
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
         ctx = multiprocessing.get_context("spawn")
     try:
-        shared_value = ctx.Value("q", incumbent)
-        with ctx.Pool(
-            processes=workers,
-            initializer=_worker_init,
-            initargs=(shared_value,),
-        ) as pool:
-            return pool.map(_run_subtree, payloads)
+        with ctx.Pool(processes=min(workers, len(tasks))) as pool:
+            return pool.starmap(_run_subtree, tasks)
     except (OSError, RuntimeError):
         return None
 
 
-def _run_tree(
-    params: CodeParams,
-    mode: str,
-    l_req: int | None,
-    max_word: int,
-    collect_all: bool,
-    target: int | None,
-    deadline: float | None,
-    node_budget: int | None,
-    workers: int,
-    floor: int,
-) -> _RunResult:
-    """Traverse one search tree, split over ``workers`` processes."""
-    job = (params.d, params.k, mode, l_req, max_word, collect_all, target, deadline, floor)
+def _run_tree(job: dict, node_budget: int | None, workers: int) -> _RunResult:
+    """Traverse one search tree, split over ``workers`` processes.
 
-    results: list[tuple[int, list[Word], int, str]] = []
-    tasks: list[tuple[Word, int | None]] = [((), node_budget)]
+    Every task starts from the floor or the coordinator's best and raises
+    its own incumbent.  The incumbent only decides which closures get
+    verified, never which nodes are expanded, so the merged answer and
+    node total do not depend on the split.
+    """
+    floor = job["floor"]
+    results: list[_RunResult] = []
+    tasks = [(job, (), node_budget, floor)]
     if workers > 1:
         # split the tree at a fixed prefix depth, farm out subtrees
+        mode, max_word = job["mode"], job["max_word"]
         depth_cap = max_word // 2 if mode != "general" else max_word
-        stop_depth = min(max(4, params.k + 3), max(depth_cap - 1, 1))
+        stop_depth = min(max(4, job["params"].k + 3), max(depth_cap - 1, 1))
         coordinator = _Kernel(
-            params, mode, l_req, max_word, collect_all, _LocalBest(floor), floor
+            **job, node_budget=node_budget, incumbent=floor, stop_depth=stop_depth
         )
-        coordinator.deadline = deadline
-        coordinator.node_budget = node_budget
-        coordinator.stop_depth = stop_depth
         reason = coordinator.run()
-        results.append((coordinator.best, coordinator.witnesses, coordinator.nodes, reason))
+        results.append(
+            _RunResult(coordinator.best, coordinator.witnesses, coordinator.nodes, reason)
+        )
         prefixes = coordinator.frontier if reason == "complete" else []
         per_task_budget = None
         if node_budget is not None and prefixes:
             budget_left = max(1, node_budget - coordinator.nodes)
             per_task_budget = max(1, budget_left // len(prefixes))
-        tasks = [(prefix, per_task_budget) for prefix in prefixes]
-    payloads = [job + task for task in tasks]
-    # the floor seeds the incumbent; the pool's dynamic incumbent only
-    # decides which closures get verified, never which nodes are expanded
-    incumbent = max([floor] + [r[0] for r in results])
-    done = None
-    if workers > 1 and payloads:
-        done = _pool_map(payloads, workers, incumbent)
+        incumbent = max(floor, coordinator.best)
+        tasks = [(job, prefix, per_task_budget, incumbent) for prefix in prefixes]
+    done = _pool_map(tasks, workers) if workers > 1 and tasks else None
     if done is None:
         # one worker, or no subprocess support here: the same tasks in-process
-        box = _LocalBest(incumbent)
-        done = [_run_subtree(payload, box) for payload in payloads]
-    results.extend(done)
+        done = [_run_subtree(*task) for task in tasks]
+    results += done
 
-    best = max(r[0] for r in results)
-    raws: list[Word] = []
-    for r in results:
-        raws.extend(_final_witnesses(r[1], best, collect_all))
-    nodes = sum(r[2] for r in results)
-    return _RunResult(best, raws, nodes, _merge_stop([r[3] for r in results]))
+    best = max(r.best for r in results)
+    raws = [
+        w
+        for r in results
+        for w in r.raw_witnesses
+        if job["collect_all"] or len(w) == best
+    ]
+    reasons = {r.stop_reason for r in results}
+    stop = next((r for r in ("time", "nodes", "target") if r in reasons), "complete")
+    return _RunResult(best, raws, sum(r.nodes for r in results), stop)
 
 
-def _symmetric_floor(
-    params: CodeParams, deadline: float | None, node_budget: int | None
-) -> _RunResult:
+def _symmetric_floor(job: dict, node_budget: int | None) -> _RunResult:
     """The symmetric maximum, searched in-process: a lower bound on K(d,k)."""
-    full = 1 << params.d
-    return _run_tree(
-        params, "symmetric", None, full, False, None, deadline, node_budget, 1, 0
-    )
+    return _run_tree({**job, "mode": "symmetric", "target": None}, node_budget, 1)
 
 
 def _run_search(
@@ -670,28 +593,28 @@ def _run_search(
     deadline = (
         time.monotonic() + options.time_limit if options.time_limit is not None else None
     )
+    job = dict(
+        params=params, mode=mode, l_req=l_req, max_word=max_word,
+        collect_all=collect_all, floor=0, target=options.target, deadline=deadline,
+    )
     node_budget = options.node_budget
     seed = None
-    floor = 0
     # without the ball mask rule (b) is off and the seed would only cost time
     seeded = mode == "general" and not collect_all and max_word == full
     if seeded and params.d <= _TABLE_MAX_D:
-        seed = _symmetric_floor(params, deadline, node_budget)
+        seed = _symmetric_floor(job, node_budget)
         if seed.stop_reason != "complete":
             return seed  # its codes are general codes too, but nothing is proved
-        floor = seed.best
+        job["floor"] = seed.best
         if node_budget is not None:
             node_budget -= seed.nodes
-    result = _run_tree(
-        params, mode, l_req, max_word, collect_all, options.target, deadline,
-        node_budget, options.workers, floor,
-    )
+    result = _run_tree(job, node_budget, options.workers)
     if seed is not None:
         result.nodes += seed.nodes
-        if result.best < floor:
+        if result.best < seed.best:
             if result.stop_reason == "complete":
                 raise InternalConsistencyError(
-                    f"exhaustive search found no code of the symmetric floor {floor}"
+                    f"exhaustive search found no code of the symmetric floor {seed.best}"
                 )
             # stopped before it re-found a code as long as the seed's
             result.best, result.raw_witnesses = seed.best, seed.raw_witnesses
@@ -700,30 +623,21 @@ def _run_search(
     return result
 
 
-def _final_witnesses(
-    found: list[Word], best: int, collect_all: bool
-) -> list[Word]:
-    if collect_all:
-        return list(found)
-    return [w for w in found if len(w) == best]
-
-
-def _build_record(
-    params: CodeParams,
-    mode: str,
-    l_req: int | None,
-    options: SearchOptions,
-    result: _RunResult,
-    seconds: float,
+def _search_record(
+    params: CodeParams, mode: str, l_req: int | None, options: SearchOptions | None
 ) -> SearchRecord:
-    canonical = sorted({canonical_form(w).word for w in result.raw_witnesses})
+    """Run and time one search; the record lists canonical witnesses."""
+    options = options or SearchOptions()
+    t0 = time.perf_counter()
+    result = _run_search(params, mode, l_req, options)
+    seconds = time.perf_counter() - t0
     return SearchRecord(
         params=params,
         mode=mode,
         l=l_req,
         n=result.best,
         exhaustive=result.stop_reason == "complete",
-        witnesses=tuple(canonical),
+        witnesses=tuple(sorted({canonical_form(w).word for w in result.raw_witnesses})),
         nodes=result.nodes,
         seconds=seconds,
         stop_reason=result.stop_reason,
@@ -739,12 +653,7 @@ def max_length(params: CodeParams, options: SearchOptions | None = None) -> Sear
     unless the length is capped below 2^d, the symmetric maximum is
     searched first as a lower bound; its nodes count in ``nodes``.
     """
-    options = options or SearchOptions()
-    t0 = time.perf_counter()
-    result = _run_search(params, "general", None, options)
-    return _build_record(
-        params, "general", None, options, result, time.perf_counter() - t0
-    )
+    return _search_record(params, "general", None, options)
 
 
 def symmetric_max(
@@ -755,12 +664,7 @@ def symmetric_max(
     Searches half-words; a candidate closes as the doubled word, which is
     put through the full verifier once its cross-half pairs pass.
     """
-    options = options or SearchOptions()
-    t0 = time.perf_counter()
-    result = _run_search(params, "symmetric", None, options)
-    return _build_record(
-        params, "symmetric", None, options, result, time.perf_counter() - t0
-    )
+    return _search_record(params, "symmetric", None, options)
 
 
 def family_symmetric_max(
@@ -769,12 +673,7 @@ def family_symmetric_max(
     """Maximum symmetric length among codes with a bit run >= k + l."""
     if l < 2:
         raise ValueError(f"family parameter l must be >= 2, got {l}")
-    options = options or SearchOptions()
-    t0 = time.perf_counter()
-    result = _run_search(params, "family", l, options)
-    return _build_record(
-        params, "family", l, options, result, time.perf_counter() - t0
-    )
+    return _search_record(params, "family", l, options)
 
 
 def enumerate_max(

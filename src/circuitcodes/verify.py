@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .canon import _first_occurrence_relabel, leading_runs
 from .core import (
     CodeParams,
     Segment,
@@ -196,17 +197,7 @@ def bit_runs(word: Sequence[int]) -> BitRunReport:
     if n == 0:
         return BitRunReport(runs=(), longest=0)
     # run_len[i] = longest distinct stretch starting at 0-based i, capped at n
-    run_len = []
-    for i in range(n):
-        seen = set()
-        length = 0
-        while length < n:
-            c = w[(i + length) % n]
-            if c in seen:
-                break
-            seen.add(c)
-            length += 1
-        run_len.append(length)
+    run_len = leading_runs(w)
     if max(run_len) == n:
         return BitRunReport(runs=(Segment(1, n),), longest=n)
     runs = []
@@ -246,14 +237,11 @@ def check_window_bitrun_property(
         raise InapplicableError(
             f"window property needs length > {2 * (k + 1)}, got {n}"
         )
-    span = k + 3
+    runs = leading_runs(w)
     for i in range(n):
-        window = tuple(w[(i + t) % n] for t in range(span))
-        if len(set(window[: k + 2])) == k + 2:
-            continue
-        if len(set(window[1:])) == k + 2:
-            continue
-        return Segment(i + 1, span)
+        # the window at i begins with a (k+2)-run, or its last k+2 labels are one
+        if runs[i] < k + 2 and runs[(i + 1) % n] < k + 2:
+            return Segment(i + 1, k + 3)
     return None
 
 
@@ -346,17 +334,11 @@ def normalize_to_bitrun_form(
         raise InapplicableError(f"normal form needs a bit run of length {k + 2}")
 
     best: tuple[Word, int, dict[int, int]] | None = None
+    runs = leading_runs(w)
     for s in range(n):
-        rot = w[s:] + w[:s]
-        if len(set(rot[: k + 2])) != k + 2:
+        if runs[s] < k + 2:
             continue
-        mapping: dict[int, int] = {}
-        out = []
-        for c in rot:
-            if c not in mapping:
-                mapping[c] = len(mapping) + 1
-            out.append(mapping[c])
-        cand = tuple(out)
+        cand, mapping = _first_occurrence_relabel(w[s:] + w[:s])
         if best is None or cand < best[0]:
             best = (cand, s, mapping)
     if best is None:

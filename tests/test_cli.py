@@ -198,18 +198,18 @@ class TestSearch:
 
 class TestEnumerate:
     def test_2_1(self, capsys):
-        code, out, _ = run_cli(capsys, "enumerate", "--d", "2", "--k", "1", "--classes")
+        code, out, _ = run_cli(capsys, "enumerate", "--d", "2", "--k", "1")
         assert code == 0
         assert out.strip() == "1,2,1,2 1"
 
     def test_6_3_single_class(self, capsys):
-        code, out, _ = run_cli(capsys, "enumerate", "--d", "6", "--k", "3", "--classes")
+        code, out, _ = run_cli(capsys, "enumerate", "--d", "6", "--k", "3")
         assert code == 0
         assert len(out.strip().splitlines()) == 1
 
     def test_truncated_prints_nothing(self, capsys):
         code, out, err = run_cli(
-            capsys, "enumerate", "--d", "16", "--k", "9", "--node-budget", "300", "--classes"
+            capsys, "enumerate", "--d", "16", "--k", "9", "--node-budget", "300"
         )
         assert code == 3
         assert out == ""

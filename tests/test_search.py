@@ -374,6 +374,28 @@ class TestKernelPaths:
         assert rec.nodes == single.nodes
         assert rec.exhaustive
 
+    @pytest.mark.parametrize(
+        "d,k,run,tasks", [(5, 2, max_length, 6), (8, 4, symmetric_max, 4)]
+    )
+    def test_pool_starts_no_more_processes_than_tasks(self, monkeypatch, d, k, run, tasks):
+        single = run(CodeParams(d, k))
+        requested = []
+
+        class CountingPool:
+            def __init__(self, method):
+                pass
+
+            def Pool(self, processes):
+                # record the request, then fall back in-process: no real process
+                requested.append(processes)
+                raise OSError("no process pool")
+
+        monkeypatch.setattr(search.multiprocessing, "get_context", CountingPool)
+        rec = run(CodeParams(d, k), SearchOptions(workers=64))
+        assert requested == [tasks]
+        assert rec.witnesses == single.witnesses
+        assert rec.nodes == single.nodes
+
 
 def _cross_half_by_definition(word, k):
     """Every pair of the doubled walk with one vertex strictly inside each

@@ -291,6 +291,35 @@ class TestWindowBitrunProperty:
         with pytest.raises(InapplicableError):
             check_window_bitrun_property((1, 2, 1, 2), CodeParams(2, 1))
 
+    @staticmethod
+    def first_bad_window(word, k):
+        """Literal scan: the first cyclic window of k+3 labels whose first
+        and last k+2 labels both repeat one."""
+        n = len(word)
+        for i in range(n):
+            window = [word[(i + t) % n] for t in range(k + 3)]
+            if len(set(window[:-1])) < k + 2 and len(set(window[1:])) < k + 2:
+                return Segment(i + 1, k + 3)
+        return None
+
+    def test_arbitrary_words_by_definition(self):
+        # not codes: most of these words fail, at varied windows
+        words = [w for n in range(5, 9) for w in itertools.product((1, 2, 3), repeat=n)]
+        rng = random.Random(29)
+        words += [
+            tuple(rng.randint(1, 8) for _ in range(rng.randint(5, 24))) for _ in range(3000)
+        ]
+        outcomes = set()
+        for k in (1, 2, 3, 4):
+            params = CodeParams(8, k)
+            for w in words:
+                if len(w) <= 2 * (k + 1):
+                    continue
+                want = self.first_bad_window(w, k)
+                assert check_window_bitrun_property(w, params) == want, (w, k)
+                outcomes.add(want is None)
+        assert outcomes == {True, False}
+
 
 class TestDeltaAudit:
     def test_valid_on_enumerated_maxima(self, rec_52, rec_63):
