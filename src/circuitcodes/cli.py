@@ -15,7 +15,10 @@ function of the outcome category:
 Search results serialize as one JSON object per line; when the searched
 (d, k, mode) falls inside a family with a published exact value, the
 result is compared against the known-values table and a MATCH or
-MISMATCH line is printed (only for exhaustive runs).
+MISMATCH line is printed (only for exhaustive runs).  The line carries
+the number of witness classes up to rotation, relabeling and reversal;
+where the table says the code is unique, more than one class is a
+MISMATCH.
 """
 
 from __future__ import annotations
@@ -203,10 +206,21 @@ def _cmd_search(args) -> int:
     if record.exhaustive:
         known = lookup(record.params, mode, l)
         if known is not None:
-            verdict = "MATCH" if record.n == known.expected_length else "MISMATCH"
-            print(f"{verdict} n={record.n} expected={known.expected_length} ({known.label})")
-            if verdict == "MISMATCH":
-                _err("search: exhaustive result disagrees with the known-values table")
+            classes = len(
+                {canonical_form(w, include_reversal=True).word for w in record.witnesses}
+            )
+            problem = None
+            if record.n != known.expected_length:
+                problem = "its length disagrees with the known-values table"
+            elif known.unique and classes != 1:
+                problem = f"{classes} classes where the known-values table has one"
+            verdict = "MISMATCH" if problem else "MATCH"
+            print(
+                f"{verdict} n={record.n} expected={known.expected_length} "
+                f"classes={classes} ({known.label})"
+            )
+            if problem:
+                _err(f"search: exhaustive result: {problem}")
                 return EXIT_INCONSISTENT
     if record.stop_reason in ("complete", "target"):
         if args.target is not None:

@@ -22,12 +22,14 @@ In walk terms, a new vertex w at index j must keep cube distance at
 least a threshold from every earlier vertex walk[i].  Each depth j has
 one schedule of (i, threshold) pairs, built the first time the search
 reaches that depth: the threshold is min(j-i, k) in symmetric mode and
-min(j-i, k, i) in general mode, and i runs from j-2 down to 0 (symmetric)
-or 1 (general); walk[j-1] is one flip away and always far enough.  For
-d <= 11 an optional ball mask short-cuts the far pairs: a bitmask over
-the 2^d vertices of everything within the threshold of some walk[i] with
-j - i >= k, grown by one ball per push, so the schedule stops at
-i > j - k.  Without it the mask stays 0 and the schedule covers every i.
+min(j-i, k, i) in general mode, and i runs from j-2 down to j-k+1 but
+not below 0 (symmetric) or 1 (general); walk[j-1] is one flip away and
+always far enough.  The far pairs, j - i >= k, go through a ball mask: a
+bitmask over the 2^d vertices of everything within the threshold of some
+walk[i] with j - i >= k, grown by one ball per push.  A ball is built the
+first time its centre and radius are needed, by translating the cached
+origin ball by XOR with the centre (one shift-and-mask step per set bit
+of the centre), and kept for the rest of the traversal.
 
 A symmetric half-word of length t closes as its doubled word, a cycle of
 length 2t whose vertex t+s is walk[t] ^ walk[s].  Two vertices in the
@@ -45,44 +47,50 @@ reduce to one weight test on walk[t].  It works on the raw walk; only a
 doubled word that passes it, and would be recorded, goes through the
 full verifier.
 
-General mode adds three rules that make it a branch-and-bound search.
-Symmetric and family runs do not use them.
+Three more rules make the search a branch-and-bound search.
 
-(a) Rotation breaking (orderly generation, after McKay, "Isomorph-free
-    exhaustive generation", J. Algorithms 1998).  The leading run R of a
-    word is the number of labels before its first repeat (0 while there
-    is none).  Relabeled by first occurrence, a rotation with a shorter
-    leading run is lexicographically smaller, so the canonical rotation
-    of a code has the minimal leading run (see ``canon``).  Appending
-    label c at index j, where c last occurred at p >= 1, is pruned if
-    R == 0 or j - p < R: the rotation starting at p then has a leading
-    run of at most j - p, shorter than the word's own (R, or j if this
-    is its first repeat), and every completion is a non-canonical
-    rotation.  The canonical rotation never meets this
+(a) Rotation breaking, in every mode (orderly generation, after McKay,
+    "Isomorph-free exhaustive generation", J. Algorithms 1998).  The
+    leading run R of a word is the number of labels before its first
+    repeat (0 while there is none).  Relabeled by first occurrence, a
+    rotation with a shorter leading run is lexicographically smaller, so
+    the canonical rotation of a code has the minimal leading run (see
+    ``canon``).  Appending label c at index j, where c last occurred at
+    p >= 1, is pruned if R == 0 or j - p < R: the rotation starting at p
+    then has a leading run of at most j - p, shorter than the word's own
+    (R, or j if this is its first repeat), and every completion is a
+    non-canonical rotation.  The canonical rotation never meets this
     case, so every class keeps its canonical word.  A closed word is
     also dropped when a rotation across the wrap has a shorter run, so
-    exactly the rotations of minimal leading run are found.
+    exactly the rotations of minimal leading run are found.  The partial
+    words of symmetric mode are half-words, prefixes of the doubled word
+    they close to, so the same argument holds for the doubled word:
+    every rotation of a doubled word is the doubled word of a rotated
+    half-word, so a rotation of minimal run is itself the doubled word
+    of a half-word in the space, and the wrap check on the doubled word
+    keeps exactly those.
 (b) Parity bound (in the spirit of Ostergard & Pettersson, "Exhaustive
-    search for snake-in-the-box codes", Graphs Combin. 2015).  With the
-    ball mask fm at depth t, every later vertex walk[t+1..N-1] lies
-    outside fm, the vertices are distinct, and along the cycle they
-    alternate in parity.  So each parity class of the free vertices
-    holds at least floor((N-1-t)/2) of them, which gives
-    N <= t + 2 * min(|free & even|, |free & odd|) + 2.  A node where
-    that is below the floor cannot lead to a code of the floor's length
-    and is not expanded.  Without the ball mask (d > 11) the bound is off.
+    search for snake-in-the-box codes", Graphs Combin. 2015), general
+    mode with a floor.  With the ball mask fm at depth t, every later
+    vertex walk[t+1..N-1] lies outside fm, the vertices are distinct,
+    and along the cycle they alternate in parity.  So each parity class
+    of the free vertices holds at least floor((N-1-t)/2) of them, which
+    gives N <= t + 2 * min(|free & even|, |free & odd|) + 2.  A node
+    where that is below the floor cannot lead to a code of the floor's
+    length and is not expanded.
 (c) A static floor.  Every symmetric code is a general code, so the
     symmetric maximum is a lower bound on K(d,k).  A general run that
-    can claim a maximum (not collect-all, length cap 2^d) and has the
-    ball mask (d <= 11) first runs the symmetric search in-process on
-    the same node budget and deadline.  Its length seeds the incumbent,
-    so shorter closures are not verified, and it is the floor of rule
-    (b).  Without the ball mask rule (b) is off, and the seed would only
-    spend the budget, so it is skipped.  The floor is fixed for the run.
-    Each task of a multi-worker run starts its incumbent from the floor or
-    the coordinator's best and raises it only on its own codes; that
-    incumbent never feeds rule (b), so witnesses and node totals do not
-    depend on the number of workers.
+    can claim a maximum (not collect-all, length cap 2^d) first runs the
+    symmetric search in-process on the same node budget and deadline.
+    Its length seeds the incumbent, so shorter closures are not
+    verified, and it is the floor of rule (b).  The floor is fixed for
+    the run.  Each task of a multi-worker run starts its incumbent from
+    the floor or the coordinator's best and raises it only on its own
+    codes; that incumbent never feeds rule (b), so witnesses and node
+    totals do not depend on the number of workers.
+
+The masks take 2^d bits each, and each kernel keeps a 2^d-entry ball
+list per radius it uses, so the search takes d <= 20 only.
 
 Everything a pruned partial word could ever become is invalid, or a
 non-canonical rotation, or shorter than a code already known; everything
@@ -102,7 +110,7 @@ from .canon import IsomorphismClass, canonical_form, classify, leading_runs
 from .core import CodeParams, Word
 from .verify import InternalConsistencyError, bit_runs, check_spread
 
-_TABLE_MAX_D = 11  # ball-mask tables take 2^d ints of 2^d bits; cap the memory
+_MAX_SEARCH_D = 20  # vertex masks of 2^d bits and ball lists of 2^d entries
 
 
 class IncompleteEnumerationError(RuntimeError):
@@ -190,28 +198,41 @@ class _TargetReached(Exception):
 
 
 @functools.cache
-def _ball_masks(d: int, max_radius: int) -> list[list[int]]:
-    """balls[r][v] = bitmask of vertices within Hamming distance r of v.
+def _low_masks(d: int) -> tuple[int, ...]:
+    """low[b] = bitmask of the vertices of the d-cube with bit b clear."""
+    out = []
+    for b in range(d):
+        # 2^b set bits, 2^b clear, repeated: double the pattern up to 2^d
+        m, width = (1 << (1 << b)) - 1, 2 << b
+        while width < 1 << d:
+            m |= m << width
+            width <<= 1
+        out.append(m)
+    return tuple(out)
 
-    Cached and shared by every kernel of the process: read-only."""
-    size = 1 << d
-    balls = [[1 << v for v in range(size)]]
+
+@functools.cache
+def _origin_balls(d: int, max_radius: int) -> tuple[int, ...]:
+    """balls[r] = bitmask of the vertices within Hamming distance r of 0."""
+    low = _low_masks(d)
+    balls = [1]
     for _ in range(max_radius):
-        prev = balls[-1]
-        cur = []
-        for v in range(size):
-            acc = prev[v]
-            for b in range(d):
-                acc |= prev[v ^ (1 << b)]
-            cur.append(acc)
-        balls.append(cur)
-    return balls
+        m = grown = balls[-1]
+        # weight <= r+1 is weight <= r with one more bit set
+        for b in range(d):
+            grown |= (m & low[b]) << (1 << b)
+        balls.append(grown)
+    return tuple(balls)
 
 
 @functools.cache
 def _even_mask(d: int) -> int:
     """Bitmask of the vertices of even weight in the d-cube."""
-    return sum(1 << v for v in range(1 << d) if v.bit_count() % 2 == 0)
+    even = 1
+    for b in range(d):
+        # vertices with bit b set flip parity: the odd ones below, moved up
+        even |= (even ^ ((1 << (1 << b)) - 1)) << (1 << b)
+    return even
 
 
 class _Kernel:
@@ -247,27 +268,27 @@ class _Kernel:
         # shortest code worth verifying; raised by every recorded code
         self.incumbent = incumbent
         self.stop_depth = stop_depth
-        self.balls = (
-            _ball_masks(self.d, max(0, self.k - 1)) if self.d <= _TABLE_MAX_D else None
-        )
+        # balls[r][v]: the ball of radius r around v once built, else 0;
+        # symmetric mode only uses radius k-1
+        self.origin_balls = _origin_balls(self.d, self.k - 1)
+        self.low = _low_masks(self.d)
+        self.balls = [
+            [0] * (1 << self.d) if not self.symmetric or r == self.k - 1 else []
+            for r in range(self.k)
+        ]
         self.bit = [0] + [1 << (c - 1) for c in range(1, self.d + 1)]
         self.schedule: dict[int, tuple[tuple[int, int], ...]] = {}
         self.cross_schedule: dict[int, tuple[tuple[int, int, int], ...]] = {}
-        # rule (b) of the module docstring: general mode with the ball mask
+        # rule (b) of the module docstring: general mode with a floor
         self.floor = floor
-        self.even = (
-            _even_mask(self.d)
-            if not self.symmetric and floor > 0 and self.balls is not None
-            else None
-        )
+        self.even = _even_mask(self.d) if not self.symmetric and floor > 0 else None
 
         self.word: list[int] = []
         self.walk: list[int] = [0]
         self.used_stack: list[int] = [0]
         self.fmask_stack: list[int] = [0]
-        # rule (a) state, general mode only: last index of each label, the
-        # value it replaced per push, and the leading run R per depth (0
-        # before any repeat)
+        # rule (a) state: last index of each label, the value it replaced
+        # per push, and the leading run R per depth (0 before any repeat)
         self.last = [-1] * (self.d + 1)
         self.last_stack: list[int] = []
         self.run_stack: list[int] = [0]
@@ -285,13 +306,12 @@ class _Kernel:
             self._push(c, self.walk[-1] ^ self.bit[c])
 
     def _push(self, c: int, w: int) -> None:
-        if not self.symmetric:
-            j = len(self.word)
-            prev = self.last[c]
-            self.last_stack.append(prev)
-            self.last[c] = j
-            # a surviving first repeat is always of word[0]; it fixes R
-            self.run_stack.append(j if prev == 0 else self.run_stack[-1])
+        j = len(self.word)
+        prev = self.last[c]
+        self.last_stack.append(prev)
+        self.last[c] = j
+        # a surviving first repeat is always of word[0]; it fixes R
+        self.run_stack.append(j if prev == 0 else self.run_stack[-1])
         self.word.append(c)
         self.walk.append(w)
         used = self.used_stack[-1]
@@ -299,16 +319,28 @@ class _Kernel:
         fm = self.fmask_stack[-1]
         # the next vertex lies k steps past walk[istar]; its ball joins the mask
         istar = len(self.word) + 1 - self.k
-        if self.balls is not None and istar >= self.lo:
+        if istar >= self.lo:
             radius = (self.k if self.symmetric else min(istar, self.k)) - 1
-            fm |= self.balls[radius][self.walk[istar]]
+            v = self.walk[istar]
+            fm |= self.balls[radius][v] or self._new_ball(radius, v)
         self.fmask_stack.append(fm)
+
+    def _new_ball(self, radius: int, v: int) -> int:
+        """Build and keep the ball of the radius around v: the origin ball
+        translated by XOR v, one shift-and-mask step per set bit of v."""
+        m = self.origin_balls[radius]
+        low = self.low
+        for b in range(self.d):
+            if v >> b & 1:
+                s = 1 << b
+                m = ((m & low[b]) << s) | ((m >> s) & low[b])
+        self.balls[radius][v] = m
+        return m
 
     def _pop(self) -> None:
         c = self.word.pop()
-        if not self.symmetric:
-            self.last[c] = self.last_stack.pop()
-            self.run_stack.pop()
+        self.last[c] = self.last_stack.pop()
+        self.run_stack.pop()
         self.walk.pop()
         self.used_stack.pop()
         self.fmask_stack.pop()
@@ -316,7 +348,7 @@ class _Kernel:
     def _pairs(self, j: int) -> tuple[tuple[int, int], ...]:
         """The (i, threshold) schedule for a new vertex at walk index j."""
         k = self.k
-        last = self.lo if self.balls is None else max(self.lo, j - k + 1)
+        last = max(self.lo, j - k + 1)
         return tuple(
             (i, min(j - i, k) if self.symmetric else min(j - i, k, i))
             for i in range(j - 2, last - 1, -1)
@@ -388,10 +420,10 @@ class _Kernel:
             code = tuple(self.word) * 2
         else:
             code = tuple(self.word) + (c,)
-            # rule (a) across the wrap: some rotation has a shorter run
-            runs = leading_runs(code)
-            if min(runs) < runs[0]:
-                return
+        # rule (a) across the wrap: some rotation has a shorter run
+        runs = leading_runs(code)
+        if min(runs) < runs[0]:
+            return
         if check_spread(code, self.params) is not None:
             return
         if self.l_req is not None and bit_runs(code).longest < self.k + self.l_req:
@@ -413,24 +445,22 @@ class _Kernel:
         fm = self.fmask_stack[t]
         used = self.used_stack[t]
         maxc = used + 1 if used < self.d else self.d
-        labels = range(maxc, 0, -1)
-        if not self.symmetric:
-            if self.even is not None:
-                # rule (b): reaching the floor needs 2 * min(free even,
-                # free odd) >= need; half - taken bounds both from below
-                need = self.floor - t - 2
-                if need > 0:
-                    half = 1 << (self.d - 1)
-                    taken = fm.bit_count()
-                    if 2 * (half - taken) < need:
-                        even = (fm & self.even).bit_count()
-                        if 2 * (half - max(even, taken - even)) < need:
-                            return []
-            # rule (a): keep c unless its last index p >= 1 has t - p < R
-            r = self.run_stack[t]
-            cut = t - r if r else 0
-            last = self.last
-            labels = [c for c in labels if last[c] <= cut]
+        if self.even is not None:
+            # rule (b): reaching the floor needs 2 * min(free even,
+            # free odd) >= need; half - taken bounds both from below
+            need = self.floor - t - 2
+            if need > 0:
+                half = 1 << (self.d - 1)
+                taken = fm.bit_count()
+                if 2 * (half - taken) < need:
+                    even = (fm & self.even).bit_count()
+                    if 2 * (half - max(even, taken - even)) < need:
+                        return []
+        # rule (a): keep c unless its last index p >= 1 has t - p < R
+        r = self.run_stack[t]
+        cut = t - r if r else 0
+        last = self.last
+        labels = [c for c in range(maxc, 0, -1) if last[c] <= cut]
         out: list[tuple[int, int]] = []
         for c in labels:
             w = v ^ bit[c]
@@ -584,10 +614,14 @@ def _run_search(
 ) -> _RunResult:
     """Run one search; ``collect_all`` keeps every valid code (test oracle).
 
-    A general run that may claim a maximum at d <= 11 first searches the
-    symmetric maximum (rule (c)); that seed shares the node budget and the
-    deadline, and its nodes count in the total.
+    A general run that may claim a maximum first searches the symmetric
+    maximum (rule (c)); that seed shares the node budget and the deadline,
+    and its nodes count in the total.
     """
+    if params.d > _MAX_SEARCH_D:
+        raise ValueError(
+            f"search takes d <= {_MAX_SEARCH_D}: its vertex masks have 2^d bits"
+        )
     full = 1 << params.d
     max_word = full if options.max_length is None else min(options.max_length, full)
     deadline = (
@@ -599,9 +633,7 @@ def _run_search(
     )
     node_budget = options.node_budget
     seed = None
-    # without the ball mask rule (b) is off and the seed would only cost time
-    seeded = mode == "general" and not collect_all and max_word == full
-    if seeded and params.d <= _TABLE_MAX_D:
+    if mode == "general" and not collect_all and max_word == full:
         seed = _symmetric_floor(job, node_budget)
         if seed.stop_reason != "complete":
             return seed  # its codes are general codes too, but nothing is proved
@@ -649,9 +681,9 @@ def max_length(params: CodeParams, options: SearchOptions | None = None) -> Sear
     """Maximum length of a (d,k) circuit code, with all witnesses.
 
     Exhaustive unless a budget interrupts; decision mode (``target``)
-    stops at the first code of at least the target length.  For d <= 11,
-    unless the length is capped below 2^d, the symmetric maximum is
-    searched first as a lower bound; its nodes count in ``nodes``.
+    stops at the first code of at least the target length.  Unless the
+    length is capped below 2^d, the symmetric maximum is searched first as
+    a lower bound; its nodes count in ``nodes``.
     """
     return _search_record(params, "general", None, options)
 

@@ -10,6 +10,8 @@ import json
 import random
 import time
 
+import pytest
+
 from circuitcodes import (
     CodeParams,
     SearchOptions,
@@ -149,10 +151,29 @@ def test_criterion_05_symmetric_11_6(capsys):
     assert record["stop_reason"] == "complete"
     assert len(record["witnesses"]) == 1
     assert check_spread(tuple(record["witnesses"][0]), CodeParams(11, 6)) is None
-    assert lines[1].startswith("MATCH n=30 expected=30")
+    assert lines[1].startswith("MATCH n=30 expected=30 classes=1 ")
     assert elapsed < 120.0, f"took {elapsed:.1f}s"
     _report("5-S(11,6)", f"symmetric max (11,6) = 30 = 4k+6, exhaustive, 1 class, "
                          f"MATCH, {elapsed:.1f}s")
+
+
+def test_criterion_05_symmetric_14_8(capsys):
+    """S(14,8) = 38 = 4k+6, the k = 8 instance of the symmetric theorem
+    (k even, 2d = 3k+4), proved by exhaustion: one class."""
+    t0 = time.perf_counter()
+    code = cli_main(["search", "--d", "14", "--k", "8", "--symmetric"])
+    elapsed = time.perf_counter() - t0
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    record = json.loads(lines[0])
+    assert record["n"] == 38 == 4 * 8 + 6 and record["exhaustive"] is True
+    assert record["stop_reason"] == "complete"
+    assert len(record["witnesses"]) == 1
+    assert check_spread(tuple(record["witnesses"][0]), CodeParams(14, 8)) is None
+    assert lines[1].startswith("MATCH n=38 expected=38 classes=1 ")
+    assert elapsed < 300.0, f"took {elapsed:.1f}s"
+    _report("5-S(14,8)", f"symmetric max (14,8) = 38 = 4k+6, exhaustive, 1 class, "
+                         f"MATCH, {record['nodes']} nodes, {elapsed:.1f}s")
 
 
 def test_criterion_06_family_8_4_3():
@@ -166,6 +187,26 @@ def test_criterion_06_family_8_4_3():
     known = lookup(params, "family", 3)
     assert known is not None and known.expected_length == 22 and known.unique
     _report(6, "family max (8,4,l=3) = 22 = 4k+2l with exactly 1 class")
+
+
+@pytest.mark.parametrize("d,k,l", [(9, 5, 2), (11, 6, 3), (12, 7, 2)])
+def test_criterion_06_family_rows(capsys, d, k, l):
+    """S(d,k,k+l) = 4k+2l with one class, for the rows of the family table
+    (opposite parities, 2d = 3k+l+1, l in {2, 3}) within a few seconds."""
+    t0 = time.perf_counter()
+    code = cli_main(["search", "--d", str(d), "--k", str(k), "--family-l", str(l)])
+    elapsed = time.perf_counter() - t0
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    record = json.loads(lines[0])
+    n = 4 * k + 2 * l
+    assert record["n"] == n and record["exhaustive"] is True
+    assert len(record["witnesses"]) == 1
+    assert in_family(tuple(record["witnesses"][0]), CodeParams(d, k), l)
+    assert lines[1].startswith(f"MATCH n={n} expected={n} classes=1 ")
+    assert elapsed < 30.0, f"took {elapsed:.1f}s"
+    _report(f"6-F({d},{k},{l})", f"family max = {n} = 4k+2l, exhaustive, 1 class, "
+                                 f"MATCH, {elapsed:.2f}s")
 
 
 def test_criterion_07_audits_over_enumerated_maxima(rec_31, rec_52, rec_63, rec_84_sym):

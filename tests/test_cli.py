@@ -142,6 +142,7 @@ class TestSearch:
             ["search", "--d", "5", "--k", "2", "--family-l", "1"],
             ["search", "--d", "1", "--k", "1"],
             ["search", "--d", "5", "--k", "0"],
+            ["search", "--d", "21", "--k", "5"],
         ],
     )
     def test_invalid_flags_exit_1(self, capsys, argv):
@@ -165,7 +166,39 @@ class TestSearch:
         monkeypatch.setattr(cli, "lookup", lambda params, mode, l=None: wrong)
         code, out, _ = run_cli(capsys, "search", "--d", "5", "--k", "2")
         assert code == 4
-        assert "MISMATCH n=14 expected=16" in out
+        assert "MISMATCH n=14 expected=16 classes=3" in out
+
+    def test_unique_row_with_three_classes_exits_4(self, capsys, monkeypatch):
+        # K(5,2) has three classes even up to reversal
+        unique = KnownValue("general", 14, True, "unique on purpose")
+        monkeypatch.setattr(cli, "lookup", lambda params, mode, l=None: unique)
+        code, out, err = run_cli(capsys, "search", "--d", "5", "--k", "2")
+        assert code == 4
+        assert "MISMATCH n=14 expected=14 classes=3 (unique on purpose)" in out
+        assert "3 classes where the known-values table has one" in err
+
+    def test_unique_row_merges_reversed_witnesses(self, capsys, monkeypatch):
+        # two witnesses up to rotation and relabeling, one class with reversal
+        from circuitcodes import CodeParams, canonical_form
+        from circuitcodes.search import SearchRecord
+
+        word = (1, 2, 1, 3, 1, 2, 4, 1, 3, 4)
+        mirror = canonical_form(word[::-1]).word
+        assert mirror != word
+        record = SearchRecord(
+            CodeParams(4, 1), "general", None, 10, True, (word, mirror), 1, 0.0
+        )
+        monkeypatch.setattr(cli, "max_length", lambda params, options: record)
+        unique = KnownValue("general", 10, True, "unique on purpose")
+        monkeypatch.setattr(cli, "lookup", lambda params, mode, l=None: unique)
+        code, out, _ = run_cli(capsys, "search", "--d", "4", "--k", "1")
+        assert code == 0
+        assert "MATCH n=10 expected=10 classes=1 (unique on purpose)" in out
+
+    def test_unique_table_row_matches_with_one_class(self, capsys):
+        code, out, _ = run_cli(capsys, "search", "--d", "8", "--k", "4", "--symmetric")
+        assert code == 0
+        assert out.splitlines()[1].startswith("MATCH n=22 expected=22 classes=1 (")
 
     def test_missed_floor_exits_4(self, capsys, monkeypatch):
         # an exhaustive run that cannot re-find the symmetric floor is a bug

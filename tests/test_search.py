@@ -19,6 +19,7 @@ from circuitcodes import (
     symmetric_max,
 )
 from circuitcodes import search
+from circuitcodes.canon import leading_runs
 from circuitcodes.oracles import all_valid_codes, enumerate_codes_bruteforce
 
 
@@ -176,15 +177,26 @@ class TestBudgets:
         assert rec.n == 14 and rec.stop_reason == "length"
         assert all_valid_codes(CodeParams(4, 2), 16)
 
-    def test_no_seed_without_the_ball_mask(self, monkeypatch):
-        # d > 11: rule (b) is off, so the whole budget goes to the general tree
-        def no_seed(*args):
-            raise AssertionError("a run without the ball mask must not be seeded")
+    def test_seed_at_every_d(self, monkeypatch):
+        # the ball mask exists at every d, so a d = 16 run is seeded as well
+        real = search._symmetric_floor
+        calls = []
 
-        monkeypatch.setattr(search, "_symmetric_floor", no_seed)
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(search, "_symmetric_floor", counted)
         rec = max_length(CodeParams(16, 9), SearchOptions(node_budget=2500))
+        assert len(calls) == 1
         assert rec.nodes == 2500
         assert rec.stop_reason == "nodes"
+
+    def test_dimension_beyond_the_masks_is_refused(self):
+        # 2^d-bit masks: refused before any kernel allocates them
+        for run in (max_length, symmetric_max):
+            with pytest.raises(ValueError, match="d <= 20"):
+                run(CodeParams(21, 5), SearchOptions(node_budget=10))
 
     def test_max_length_bound(self):
         # a cap below 2^d leaves longer codes unsearched: not a proof
@@ -278,42 +290,72 @@ class TestRotationRepresentatives:
 
     def test_general_survivors_are_the_minimal_run_rotations(self):
         # every class of every length, closures across the wrap included
-        from circuitcodes import rotate
-        from circuitcodes.canon import leading_runs
-
         for d, k, bound in ((4, 1, 16), (5, 2, 14), (6, 3, 16)):
             raw = all_valid_codes(CodeParams(d, k), bound)
-            by_class = {}
-            for x in raw:
-                by_class.setdefault(canonical_form(x).word, set()).add(x)
-            for canon, found in by_class.items():
-                runs = leading_runs(canon)
-                want = {
-                    self._fo_relabel(rotate(canon, s))
-                    for s in range(len(canon))
-                    if runs[s] == min(runs)
-                }
-                assert found == want, (d, k, canon)
+            self._assert_minimal_run_survivors(raw, (d, k))
+
+    def _assert_minimal_run_survivors(self, raw, case):
+        from circuitcodes import rotate
+
+        assert raw, case
+        by_class = {}
+        for x in raw:
+            by_class.setdefault(canonical_form(x).word, set()).add(x)
+        for canon, found in by_class.items():
+            runs = leading_runs(canon)
+            want = {
+                self._fo_relabel(rotate(canon, s))
+                for s in range(len(canon))
+                if runs[s] == min(runs)
+            }
+            assert found == want, (case, canon)
 
     def test_8_4_symmetric_exact_representative_set(self, rec_84_sym):
+        # symmetric mode keeps only the rotations of minimal leading run
         from circuitcodes import rotate
 
         w = rec_84_sym.witnesses[0]
-        variants = {self._fo_relabel(rotate(w, s)) for s in range(len(w))}
+        runs = leading_runs(w)
+        variants = {
+            self._fo_relabel(rotate(w, s)) for s in range(len(w)) if runs[s] == min(runs)
+        }
         raw = {
             x
             for x in all_valid_codes(CodeParams(8, 4), 22, mode="symmetric")
             if len(x) == 22
         }
         assert raw == variants
-        assert len(variants) == 11  # period 11, no extra automorphism
+        assert w in raw
+        # period 11, no extra automorphism: shifts 0, 7 and 9 have run 5
+        assert len(variants) == 3
+
+    @pytest.mark.parametrize(
+        "d,k,mode,l,bound",
+        [
+            (4, 1, "symmetric", None, 16),
+            (4, 2, "symmetric", None, 16),
+            (6, 3, "symmetric", None, 64),
+            (8, 4, "symmetric", None, 256),
+            (8, 4, "family", 3, 256),
+        ],
+        ids=["4-1", "4-2", "6-3", "8-4", "8-4-l3"],
+    )
+    def test_symmetric_survivors_are_the_minimal_run_rotations(self, d, k, mode, l, bound):
+        # every class of every length: the doubled words that survive the
+        # wrap check are exactly the minimal-run rotations of each class
+        result = search._run_search(
+            CodeParams(d, k), mode, l, SearchOptions(max_length=bound), collect_all=True
+        )
+        assert result.stop_reason == "complete"
+        self._assert_minimal_run_survivors(result.raw_witnesses, (d, k, mode))
 
 
 class TestSymmetricModeAgainstBruteForce:
-    @pytest.mark.parametrize("d,k", [(3, 1), (4, 1), (4, 2)])
+    @pytest.mark.parametrize("d,k", [(3, 1), (4, 1), (4, 2), (5, 2)])
     def test_symmetric_max_matches_filtered_enumeration(self, d, k):
         params = CodeParams(d, k)
-        bound = 12
+        # at (5,2) the unpruned enumeration to length 12 costs ~10x that to 10
+        bound = 12 if d < 5 else 10
         brute = enumerate_codes_bruteforce(params, bound)
         sym_brute = [w for w in brute if is_symmetric(w)]
         best_brute = max((len(w) for w in sym_brute), default=0)
@@ -341,15 +383,28 @@ class TestKernelPaths:
         "d,k,mode,l,max_word", _PATH_CASES, ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in _PATH_CASES]
     )
     def test_table_and_loop_paths_identical(self, monkeypatch, d, k, mode, l, max_word):
-        assert d <= search._TABLE_MAX_D
-        results = []
-        for table_max_d in (search._TABLE_MAX_D, 0):
-            monkeypatch.setattr(search, "_TABLE_MAX_D", table_max_d)
+        # the reference kernel has no ball mask and checks every earlier
+        # vertex pair by pair; the real one must traverse the same tree
+        def traverse():
             kern = search._Kernel(CodeParams(d, k), mode, l, max_word, False)
-            assert (kern.balls is not None) == (table_max_d > 0)
             reason = kern.run()
-            results.append((kern.best, sorted(kern.witnesses), kern.nodes, reason))
-        assert results[0] == results[1]
+            built = sum(1 for row in kern.balls for ball in row if ball)
+            return (kern.best, sorted(kern.witnesses), kern.nodes, reason), built
+
+        real, built = traverse()
+        assert built > 0
+
+        def every_pair(kern, j):
+            return tuple(
+                (i, min(j - i, k) if kern.symmetric else min(j - i, k, i))
+                for i in range(j - 2, kern.lo - 1, -1)
+            )
+
+        monkeypatch.setattr(search._Kernel, "_new_ball", lambda kern, radius, v: 0)
+        monkeypatch.setattr(search._Kernel, "_pairs", every_pair)
+        reference, built = traverse()
+        assert built == 0
+        assert reference == real
 
     def test_large_d_uses_loop_path(self):
         rec = max_length(CodeParams(14, 7), SearchOptions(node_budget=200))
@@ -375,7 +430,7 @@ class TestKernelPaths:
         assert rec.exhaustive
 
     @pytest.mark.parametrize(
-        "d,k,run,tasks", [(5, 2, max_length, 6), (8, 4, symmetric_max, 4)]
+        "d,k,run,tasks", [(5, 2, max_length, 6), (8, 4, symmetric_max, 3)]
     )
     def test_pool_starts_no_more_processes_than_tasks(self, monkeypatch, d, k, run, tasks):
         single = run(CodeParams(d, k))
@@ -423,11 +478,14 @@ class TestSymmetricClosure:
     def test_exact_on_every_reached_half_word(self, monkeypatch, d, k):
         real = search._Kernel._cross_half_clear
         verdicts = []
+        passed = []
 
         def checked(kern):
             got = real(kern)
             assert got == (check_spread(tuple(kern.word) * 2, kern.params) is None), kern.word
             verdicts.append(got)
+            if got:
+                passed.append(tuple(kern.word) * 2)
             return got
 
         monkeypatch.setattr(search._Kernel, "_cross_half_clear", checked)
@@ -435,7 +493,10 @@ class TestSymmetricClosure:
         assert kern.run() == "complete"
         # collect-all tests every half-word but the single one of length 1
         assert len(verdicts) == kern.nodes - 1
-        assert len(kern.witnesses) == sum(verdicts) > 0
+        # the wrap check of rule (a) then keeps the rotations of minimal run
+        kept = [w for w in passed if min(leading_runs(w)) == leading_runs(w)[0]]
+        assert sorted(kern.witnesses) == sorted(kept)
+        assert kept
 
     @pytest.mark.parametrize("d,k,seed", [(8, 4, 1), (11, 6, 2)])
     def test_exact_on_random_reached_half_words(self, d, k, seed):
@@ -477,7 +538,7 @@ class TestSymmetricClosure:
             rec = symmetric_max(CodeParams(8, 4))
         else:
             rec = family_symmetric_max(CodeParams(8, 4), l)
-        assert rec.exhaustive and rec.nodes == 4627
+        assert rec.exhaustive and rec.nodes == 1431
         assert rec.n == 0 and rec.witnesses == ()
 
 
@@ -486,11 +547,14 @@ class TestNodeCounts:
     on purpose and updates these numbers with its proof of soundness."""
 
     def test_pinned_totals(self, rec_52, rec_63, rec_84_sym):
-        assert rec_52.nodes == 2396
-        assert rec_63.nodes == 4280
-        assert rec_84_sym.nodes == 4627
-        assert symmetric_max(CodeParams(9, 5)).nodes == 1967
-        assert symmetric_max(CodeParams(11, 6)).nodes == 101315
+        assert rec_52.nodes == 2184
+        assert rec_63.nodes == 4204
+        assert rec_84_sym.nodes == 1431
+        assert symmetric_max(CodeParams(9, 5)).nodes == 655
+        assert symmetric_max(CodeParams(11, 6)).nodes == 25666
+        assert symmetric_max(CodeParams(12, 7)).nodes == 11499
+        assert symmetric_max(CodeParams(13, 8)).nodes == 8739
+        assert family_symmetric_max(CodeParams(8, 4), 3).nodes == 1431
 
 
 class TestStaticFloor:
@@ -511,14 +575,46 @@ class TestStaticFloor:
         assert unseeded.witnesses == seeded.witnesses
         assert len(seeded.witnesses) == classes
 
-    def test_parity_bound_needs_the_ball_mask(self, monkeypatch):
-        kern = search._Kernel(CodeParams(6, 3), "general", None, 64, False, floor=16)
-        assert kern.even is not None
-        monkeypatch.setattr(search, "_TABLE_MAX_D", 0)
-        kern = search._Kernel(CodeParams(6, 3), "general", None, 64, False, floor=16)
-        assert kern.even is None
-        kern = search._Kernel(CodeParams(6, 3), "symmetric", None, 64, False, floor=16)
-        assert kern.even is None
+    def test_parity_bound_at_every_d(self):
+        # on in general mode with a floor, at every d; off in symmetric mode
+        for d, k in ((6, 3), (14, 8)):
+            kern = search._Kernel(CodeParams(d, k), "general", None, 1 << d, False, floor=16)
+            assert kern.even == sum(1 << v for v in range(1 << d) if v.bit_count() % 2 == 0)
+            kern = search._Kernel(CodeParams(d, k), "general", None, 1 << d, False)
+            assert kern.even is None
+            kern = search._Kernel(CodeParams(d, k), "symmetric", None, 1 << d, False, floor=16)
+            assert kern.even is None
+
+
+class TestBallMasks:
+    """A ball built on demand is the Hamming ball by definition."""
+
+    @staticmethod
+    def _check(kern, radius, v):
+        size = 1 << kern.d
+        got = kern._new_ball(radius, v)
+        assert kern.balls[radius][v] == got
+        members = format(got, f"0{size}b")[::-1]
+        want = "".join("1" if (u ^ v).bit_count() <= radius else "0" for u in range(size))
+        assert members == want, (kern.d, radius, v)
+
+    def test_every_ball_at_small_d(self):
+        for d in range(2, 7):
+            # general mode keeps every radius 0..k-1; k = d + 1 reaches radius d
+            kern = search._Kernel(CodeParams(d, d + 1), "general", None, 1 << d, False)
+            for radius in range(d + 1):
+                for v in range(1 << d):
+                    self._check(kern, radius, v)
+
+    def test_random_balls_at_d_14(self):
+        rng = random.Random(14)
+        kern = search._Kernel(CodeParams(14, 8), "general", None, 1 << 14, False)
+        for _ in range(200):
+            self._check(kern, rng.randrange(8), rng.randrange(1 << 14))
+
+    def test_symmetric_mode_keeps_radius_k_minus_1_only(self):
+        kern = search._Kernel(CodeParams(8, 4), "symmetric", None, 256, False)
+        assert [len(row) for row in kern.balls] == [0, 0, 0, 256]
 
 
 class TestStretchScale:
