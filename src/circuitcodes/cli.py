@@ -12,7 +12,8 @@ function of the outcome category:
     4  internal-consistency or audit failure, or an exhaustive search
        that disagrees with the known-values table (MISMATCH)
 
-Search results serialize as one JSON object per line; when the searched
+Search results serialize as one JSON object per line, which ``audit``
+reads back one witness at a time.  When the searched
 (d, k, mode) falls inside a family with a published exact value, the
 result is compared against the known-values table and a MATCH or
 MISMATCH line is printed (only for exhaustive runs).  The line carries
@@ -26,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .canon import canonical_form
 from .core import (
@@ -36,6 +36,7 @@ from .core import (
     as_word,
     delta,
     format_sequence,
+    is_closed,
     parse_sequence,
     segment_labels,
 )
@@ -66,60 +67,6 @@ EXIT_INPUT = 1
 EXIT_VIOLATION = 2
 EXIT_TRUNCATED = 3
 EXIT_INCONSISTENT = 4
-
-
-@dataclass(frozen=True)
-class CodeRecord:
-    """One stored code: parameters, transitions, and provenance flags."""
-
-    d: int
-    k: int
-    n: int
-    transitions: Word
-    symmetric: bool
-    canonical: bool
-    source: str
-
-    def to_json_line(self) -> str:
-        obj = {
-            "d": self.d,
-            "k": self.k,
-            "n": self.n,
-            "transitions": list(self.transitions),
-            "symmetric": self.symmetric,
-            "canonical": self.canonical,
-            "source": self.source,
-        }
-        return json.dumps(obj, separators=(",", ":"))
-
-    @classmethod
-    def from_json_line(cls, line: str) -> "CodeRecord":
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedSequenceError(f"bad JSON record: {exc}") from None
-        if not isinstance(obj, dict):
-            raise MalformedSequenceError("record is not a JSON object")
-        try:
-            transitions = as_word(obj["transitions"])
-            record = cls(
-                d=int(obj["d"]),
-                k=int(obj["k"]),
-                n=int(obj["n"]),
-                transitions=transitions,
-                symmetric=bool(obj["symmetric"]),
-                canonical=bool(obj["canonical"]),
-                source=str(obj["source"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedSequenceError(f"bad record field: {exc}") from None
-        if record.n != len(record.transitions):
-            raise MalformedSequenceError(
-                f"record claims n={record.n} but has {len(record.transitions)} transitions"
-            )
-        if record.source not in ("searched", "user", "table"):
-            raise MalformedSequenceError(f"unknown source {record.source!r}")
-        return record
 
 
 def _err(msg: str) -> None:
@@ -266,14 +213,12 @@ def _cmd_canon(args) -> int:
     return EXIT_OK
 
 
-def _audit_one(idx: int, record: CodeRecord) -> bool:
+def _audit_one(idx: int, params: CodeParams, word: Word) -> bool:
     """Run all applicable audits on one record; True iff everything passed."""
-    params = CodeParams(record.d, record.k)
-    word = record.transitions
     runs = bit_runs(word)
     sym = "yes" if is_symmetric(word) else "no"
     print(
-        f"record {idx}: d={record.d} k={record.k} n={record.n} "
+        f"record {idx}: d={params.d} k={params.k} n={len(word)} "
         f"symmetric={sym} longest_bit_run={runs.longest}"
     )
     ok = True
@@ -320,41 +265,53 @@ def _audit_one(idx: int, record: CodeRecord) -> bool:
     return ok
 
 
+def _audit_words(line: str, d: int | None, k: int | None) -> tuple[CodeParams, list[Word]]:
+    """The parameters and words of one ``audit`` input line.
+
+    A search record yields its ``witnesses``, any other object its
+    ``transitions``; ``d`` and ``k`` default to the flags, ``n`` (when
+    present) must match every word, and all other keys are ignored.
+    Raises ValueError on anything the audits could not take.
+    """
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise MalformedSequenceError("record is not a JSON object")
+    d, k = obj.get("d", d), obj.get("k", k)
+    if d is None or k is None:
+        raise MalformedSequenceError("record lacks d/k and no --d/--k defaults were given")
+    params = CodeParams(d, k)
+    raw = obj["witnesses"] if "witnesses" in obj else [obj.get("transitions")]
+    if not isinstance(raw, list) or not all(isinstance(w, list) for w in raw):
+        raise MalformedSequenceError("record needs a list of transitions or of witnesses")
+    words = [as_word(w, params.d) for w in raw]
+    n = obj.get("n")
+    for word in words:
+        if n is not None and n != len(word):
+            raise MalformedSequenceError(f"record claims n={n} but has {len(word)} transitions")
+        if len(word) < 4 or not is_closed(word):
+            raise MalformedSequenceError("transitions do not form a closed walk of length >= 4")
+    return params, words
+
+
 def _cmd_audit(args) -> int:
+    records: list[tuple[CodeParams, Word]] = []
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    except OSError as exc:
+            lines = fh.read().splitlines()
+    except (OSError, ValueError) as exc:
         _err(f"audit: {exc}")
         return EXIT_INPUT
-    records = []
     for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
         try:
-            obj = json.loads(line)
-            if isinstance(obj, dict):
-                obj.setdefault("d", args.d)
-                obj.setdefault("k", args.k)
-                if obj.get("d") is None or obj.get("k") is None:
-                    raise MalformedSequenceError(
-                        "record lacks d/k and no --d/--k defaults were given"
-                    )
-                obj.setdefault("n", len(obj.get("transitions", ())))
-                obj.setdefault("symmetric", False)
-                obj.setdefault("canonical", False)
-                obj.setdefault("source", "user")
-            records.append(CodeRecord.from_json_line(json.dumps(obj)))
-        except (MalformedSequenceError, json.JSONDecodeError, ValueError) as exc:
+            params, words = _audit_words(line, args.d, args.k)
+        except ValueError as exc:
             _err(f"audit: line {lineno}: {exc}")
             return EXIT_INPUT
-    all_ok = True
-    for idx, record in enumerate(records, start=1):
-        try:
-            if not _audit_one(idx, record):
-                all_ok = False
-        except StructuralError as exc:
-            _err(f"audit: record {idx}: {exc}")
-            return EXIT_INPUT
-    return EXIT_OK if all_ok else EXIT_INCONSISTENT
+        records += ((params, word) for word in words)
+    results = [_audit_one(idx, *record) for idx, record in enumerate(records, start=1)]
+    return EXIT_OK if all(results) else EXIT_INCONSISTENT
 
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
@@ -406,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_canon)
 
     p = sub.add_parser("audit", help="run structural audits over stored code records")
-    p.add_argument("--file", required=True, help="JSONL file of code records")
+    p.add_argument("--file", required=True, help="JSONL file of search records (search --out) or code records")
     p.add_argument("--d", type=int, default=None, help="default dimension for records lacking one")
     p.add_argument("--k", type=int, default=None, help="default spread for records lacking one")
     p.set_defaults(func=_cmd_audit)

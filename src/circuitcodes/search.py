@@ -108,7 +108,7 @@ from typing import Sequence
 
 from .canon import IsomorphismClass, canonical_form, classify, leading_runs
 from .core import CodeParams, Word
-from .verify import InternalConsistencyError, bit_runs, check_spread
+from .verify import InternalConsistencyError, check_spread
 
 _MAX_SEARCH_D = 20  # vertex masks of 2^d bits and ball lists of 2^d entries
 
@@ -126,7 +126,8 @@ class SearchOptions:
     (default 2^d, which no cycle can exceed); a bound below 2^d leaves
     longer codes unsearched, so such a run ends with stop reason
     ``length`` and is not exhaustive.  Budgets make the run stop early
-    and report itself as non-exhaustive.
+    and report itself as non-exhaustive.  A target or a node budget
+    needs a single worker: tasks share no state to honour either.
     """
 
     target: int | None = None
@@ -141,6 +142,8 @@ class SearchOptions:
                 raise ValueError("target length must be an even number >= 4")
             if self.workers != 1:
                 raise ValueError("decision-mode runs (target set) are single-worker")
+        if self.node_budget is not None and self.workers != 1:
+            raise ValueError("node-budgeted runs are single-worker")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.node_budget is not None and self.node_budget < 1:
@@ -426,7 +429,7 @@ class _Kernel:
             return
         if check_spread(code, self.params) is not None:
             return
-        if self.l_req is not None and bit_runs(code).longest < self.k + self.l_req:
+        if self.l_req is not None and max(runs) < self.k + self.l_req:
             return
         self._record(code)
 
@@ -558,7 +561,8 @@ def _run_tree(job: dict, node_budget: int | None, workers: int) -> _RunResult:
     Every task starts from the floor or the coordinator's best and raises
     its own incumbent.  The incumbent only decides which closures get
     verified, never which nodes are expanded, so the merged answer and
-    node total do not depend on the split.
+    node total do not depend on the split.  Tasks share no state, so a
+    node budget comes with one worker only.
     """
     floor = job["floor"]
     results: list[_RunResult] = []
@@ -576,12 +580,8 @@ def _run_tree(job: dict, node_budget: int | None, workers: int) -> _RunResult:
             _RunResult(coordinator.best, coordinator.witnesses, coordinator.nodes, reason)
         )
         prefixes = coordinator.frontier if reason == "complete" else []
-        per_task_budget = None
-        if node_budget is not None and prefixes:
-            budget_left = max(1, node_budget - coordinator.nodes)
-            per_task_budget = max(1, budget_left // len(prefixes))
         incumbent = max(floor, coordinator.best)
-        tasks = [(job, prefix, per_task_budget, incumbent) for prefix in prefixes]
+        tasks = [(job, prefix, node_budget, incumbent) for prefix in prefixes]
     done = _pool_map(tasks, workers) if workers > 1 and tasks else None
     if done is None:
         # one worker, or no subprocess support here: the same tasks in-process

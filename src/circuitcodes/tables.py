@@ -8,6 +8,7 @@ so the CLI never claims agreement outside a formula's stated range.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -23,21 +24,12 @@ class KnownValue:
     label: str
 
 
+@functools.cache
 def _load_rules() -> list[dict]:
     text = (
         resources.files("circuitcodes").joinpath("data/known_values.json").read_text()
     )
     return json.loads(text)["rules"]
-
-
-_RULES: list[dict] | None = None
-
-
-def _rules() -> list[dict]:
-    global _RULES
-    if _RULES is None:
-        _RULES = _load_rules()
-    return _RULES
 
 
 def _length_of(rule: dict, k: int, l: int) -> int:
@@ -52,7 +44,7 @@ def lookup(params: CodeParams, mode: str, l: int | None = None) -> KnownValue | 
     requires ``l``).  None when no rule's preconditions are met.
     """
     d, k = params.d, params.k
-    for rule in _rules():
+    for rule in _load_rules():
         if rule["mode"] != mode:
             continue
         if mode == "family":

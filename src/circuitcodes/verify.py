@@ -13,7 +13,7 @@ no arithmetic and are cross-validated exhaustively in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .canon import _first_occurrence_relabel, leading_runs
@@ -176,12 +176,6 @@ class BitRunReport:
 
     runs: tuple[Segment, ...]
     longest: int
-    longest_starts: tuple[int, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        if not self.longest_starts:
-            starts = tuple(s.start for s in self.runs if s.length == self.longest)
-            object.__setattr__(self, "longest_starts", starts)
 
 
 def bit_runs(word: Sequence[int]) -> BitRunReport:

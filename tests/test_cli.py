@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from circuitcodes import cli
-from circuitcodes.cli import CodeRecord, main
+from circuitcodes.cli import main
 from circuitcodes.tables import KnownValue
 
 
@@ -143,6 +143,7 @@ class TestSearch:
             ["search", "--d", "1", "--k", "1"],
             ["search", "--d", "5", "--k", "0"],
             ["search", "--d", "21", "--k", "5"],
+            ["search", "--d", "5", "--k", "2", "--threads", "2", "--node-budget", "100"],
         ],
     )
     def test_invalid_flags_exit_1(self, capsys, argv):
@@ -356,35 +357,55 @@ class TestAudit:
         code, _, _ = run_cli(capsys, "audit", "--file", str(tmp_path / "absent.jsonl"))
         assert code == 1
 
-
-class TestCodeRecordRoundTrip:
-    def test_bit_exact(self):
-        rec = CodeRecord(
-            d=64,
-            k=1,
-            n=4,
-            transitions=(63, 64, 63, 64),
-            symmetric=True,
-            canonical=False,
-            source="user",
+    def test_open_walk_is_input_error_before_any_report(self, capsys, tmp_path):
+        f = tmp_path / "open.jsonl"
+        self.write_records(
+            f,
+            [
+                {"d": 3, "k": 1, "transitions": [1, 2, 1, 3, 1, 2, 1, 3]},
+                {"d": 3, "k": 1, "transitions": [1, 2, 3, 1, 2]},
+            ],
         )
-        line = rec.to_json_line()
-        assert CodeRecord.from_json_line(line) == rec
-        assert CodeRecord.from_json_line(line).to_json_line() == line
+        code, out, err = run_cli(capsys, "audit", "--file", str(f))
+        assert code == 1
+        assert out == ""
+        assert "line 2" in err
 
-    def test_key_order_fixed(self):
-        rec = CodeRecord(2, 1, 4, (1, 2, 1, 2), True, True, "table")
-        assert list(json.loads(rec.to_json_line())) == [
-            "d", "k", "n", "transitions", "symmetric", "canonical", "source",
-        ]
 
-    def test_unknown_source_rejected(self):
-        line = json.dumps(
-            {"d": 2, "k": 1, "n": 4, "transitions": [1, 2, 1, 2],
-             "symmetric": True, "canonical": True, "source": "guess"}
-        )
-        with pytest.raises(Exception):
-            CodeRecord.from_json_line(line)
+class TestSearchThenAudit:
+    """``audit --file`` reads the records ``search --out`` writes."""
+
+    @staticmethod
+    def search_out(capsys, path, *argv):
+        code, _, _ = run_cli(capsys, "search", *argv, "--out", str(path))
+        assert code == 0
+
+    def test_symmetric_8_4_reaches_the_normal_form(self, capsys, tmp_path):
+        f = tmp_path / "s84.jsonl"
+        self.search_out(capsys, f, "--d", "8", "--k", "4", "--symmetric")
+        code, out, _ = run_cli(capsys, "audit", "--file", str(f))
+        assert code == 0
+        assert "record 1: bitrun_normal_form ok" in out
+        assert "FAIL" not in out
+
+    def test_each_witness_is_a_record(self, capsys, tmp_path):
+        f = tmp_path / "k52.jsonl"
+        self.search_out(capsys, f, "--d", "5", "--k", "2")
+        code, out, _ = run_cli(capsys, "audit", "--file", str(f))
+        assert code == 0
+        for idx in (1, 2, 3):
+            assert f"record {idx}: d=5 k=2 n=14 " in out
+        assert "record 4:" not in out
+
+    def test_label_above_d_exits_1_before_any_report(self, capsys, tmp_path):
+        f = tmp_path / "mixed.jsonl"
+        self.search_out(capsys, f, "--d", "5", "--k", "2")
+        with open(f, "a", encoding="utf-8") as fh:
+            fh.write('{"d":3,"k":1,"transitions":[1,2,5,1,2,5]}\n')
+        code, out, err = run_cli(capsys, "audit", "--file", str(f))
+        assert code == 1
+        assert out == ""
+        assert "line 2" in err and "label 5" in err
 
 
 class TestEntryPoint:

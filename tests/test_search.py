@@ -131,6 +131,11 @@ class TestDecisionMode:
         with pytest.raises(ValueError):
             SearchOptions(target=14, workers=2)
 
+    def test_node_budget_is_single_worker(self):
+        # tasks share no budget, so a split run could stop where one worker completes
+        with pytest.raises(ValueError):
+            SearchOptions(node_budget=4281, workers=2)
+
 
 class TestBudgets:
     def test_node_budget_exact_and_truncated(self):
