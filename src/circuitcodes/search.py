@@ -92,6 +92,15 @@ Three more rules make the search a branch-and-bound search.
 The masks take 2^d bits each, and each kernel keeps a 2^d-entry ball
 list per radius it uses, so the search takes d <= 20 only.
 
+The traversal is one loop, ``_Kernel.run``: it is the only code that
+pushes, pops and counts a node, and it tests the candidate labels, the
+parity bound and the closure gate inline.  Its per-depth state (the ball
+mask and the last occurrence each push replaced) lives in lists that
+grow with the depth reached.  A task of a multi-worker run starts from a
+prefix found by the coordinator: ``run(prefix)`` pushes the prefix labels
+along the same path, without counting, closing or checking them (the
+coordinator already did), and then explores every extension.
+
 Everything a pruned partial word could ever become is invalid, or a
 non-canonical rotation, or shorter than a code already known; everything
 accepted as a code has passed the full verifier.  The completeness of
@@ -137,6 +146,8 @@ class SearchOptions:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if self.target is not None:
             if self.target % 2 != 0 or self.target < 4:
                 raise ValueError("target length must be an even number >= 4")
@@ -144,8 +155,6 @@ class SearchOptions:
                 raise ValueError("decision-mode runs (target set) are single-worker")
         if self.node_budget is not None and self.workers != 1:
             raise ValueError("node-budgeted runs are single-worker")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.node_budget is not None and self.node_budget < 1:
             raise ValueError("node budget must be >= 1")
         if self.time_limit is not None and self.time_limit <= 0:
@@ -286,47 +295,17 @@ class _Kernel:
         self.floor = floor
         self.even = _even_mask(self.d) if not self.symmetric and floor > 0 else None
 
+        # the word and walk of the current node; the rest of the traversal
+        # state lives in run()
         self.word: list[int] = []
         self.walk: list[int] = [0]
-        self.used_stack: list[int] = [0]
-        self.fmask_stack: list[int] = [0]
-        # rule (a) state: last index of each label, the value it replaced
-        # per push, and the leading run R per depth (0 before any repeat)
-        self.last = [-1] * (self.d + 1)
-        self.last_stack: list[int] = []
-        self.run_stack: list[int] = [0]
 
         self.best = 0
         self.witnesses: list[Word] = []
         self.nodes = 0
         self.frontier: list[Word] = []
 
-    # -- state maintenance ------------------------------------------------
-
-    def replay(self, prefix: Sequence[int]) -> None:
-        """Rebuild the stacks for a trusted prefix; no checks, no counting."""
-        for c in prefix:
-            self._push(c, self.walk[-1] ^ self.bit[c])
-
-    def _push(self, c: int, w: int) -> None:
-        j = len(self.word)
-        prev = self.last[c]
-        self.last_stack.append(prev)
-        self.last[c] = j
-        # a surviving first repeat is always of word[0]; it fixes R
-        self.run_stack.append(j if prev == 0 else self.run_stack[-1])
-        self.word.append(c)
-        self.walk.append(w)
-        used = self.used_stack[-1]
-        self.used_stack.append(used + 1 if c > used else used)
-        fm = self.fmask_stack[-1]
-        # the next vertex lies k steps past walk[istar]; its ball joins the mask
-        istar = len(self.word) + 1 - self.k
-        if istar >= self.lo:
-            radius = (self.k if self.symmetric else min(istar, self.k)) - 1
-            v = self.walk[istar]
-            fm |= self.balls[radius][v] or self._new_ball(radius, v)
-        self.fmask_stack.append(fm)
+    # -- balls, pair schedules and the cross-half test -----------------------
 
     def _new_ball(self, radius: int, v: int) -> int:
         """Build and keep the ball of the radius around v: the origin ball
@@ -339,14 +318,6 @@ class _Kernel:
                 m = ((m & low[b]) << s) | ((m >> s) & low[b])
         self.balls[radius][v] = m
         return m
-
-    def _pop(self) -> None:
-        c = self.word.pop()
-        self.last[c] = self.last_stack.pop()
-        self.run_stack.pop()
-        self.walk.pop()
-        self.used_stack.pop()
-        self.fmask_stack.pop()
 
     def _pairs(self, j: int) -> tuple[tuple[int, int], ...]:
         """The (i, threshold) schedule for a new vertex at walk index j."""
@@ -367,13 +338,13 @@ class _Kernel:
             for i in range(1, t - gap)
         )
 
-    def _cross_half_clear(self) -> bool:
-        """Whether every cross-half pair of the doubled walk is far enough.
+    def _cross_half_clear(self, t: int) -> bool:
+        """Whether every cross-half pair of the doubled walk of the
+        half-word of length t is far enough.
 
         Vertex i of the first half and vertex t+s of the second are
         t - |s-i| apart along the cycle; the second is walk[s] ^ walk[t].
         """
-        t = len(self.word)
         walk = self.walk
         top = walk[t]
         # the s == i pairs all measure walk[t] at cycle distance t
@@ -387,21 +358,10 @@ class _Kernel:
                 return False
         return True
 
-    # -- bookkeeping -------------------------------------------------------
-
-    def _count_node(self) -> None:
-        self.nodes += 1
-        if self.node_budget is not None and self.nodes >= self.node_budget:
-            raise _Truncated("nodes")
-        if (
-            self.deadline is not None
-            and self.nodes & 0xFF == 0
-            and time.monotonic() > self.deadline
-        ):
-            raise _Truncated("time")
+    # -- closing a code ------------------------------------------------------
 
     def _record(self, code: Word) -> None:
-        # past the gate of _close, n >= incumbent >= best unless collect-all
+        # past the gate of run(), n >= incumbent >= best unless collect-all
         n = len(code)
         if n > self.best and not self.collect_all:
             self.witnesses = []
@@ -414,11 +374,10 @@ class _Kernel:
     def _close(self, n: int, c: int = 0) -> None:
         """Verify the code of length n closed at this node and record it if
         it is a wanted code: the word plus label c back at the origin in
-        general mode, the doubled half-word in symmetric mode."""
-        if n < 4 or not (self.collect_all or n >= self.incumbent):
-            return
+        general mode, the doubled half-word in symmetric mode.  run() calls
+        it only past the gate n >= 4 and (collect-all or n >= incumbent)."""
         if self.symmetric:
-            if not self._cross_half_clear():
+            if not self._cross_half_clear(n // 2):
                 return
             code = tuple(self.word) * 2
         else:
@@ -433,92 +392,156 @@ class _Kernel:
             return
         self._record(code)
 
-    # -- candidate generation ----------------------------------------------
-    # Lists are built in descending label order so that pop() explores
-    # children in ascending order (reproducible node counts).
-
-    def _candidates(self) -> list[tuple[int, int]]:
-        t = len(self.word)
-        pairs = self.schedule.get(t + 1)
-        if pairs is None:
-            pairs = self.schedule[t + 1] = self._pairs(t + 1)
-        v = self.walk[t]
-        walk = self.walk
-        bit = self.bit
-        fm = self.fmask_stack[t]
-        used = self.used_stack[t]
-        maxc = used + 1 if used < self.d else self.d
-        if self.even is not None:
-            # rule (b): reaching the floor needs 2 * min(free even,
-            # free odd) >= need; half - taken bounds both from below
-            need = self.floor - t - 2
-            if need > 0:
-                half = 1 << (self.d - 1)
-                taken = fm.bit_count()
-                if 2 * (half - taken) < need:
-                    even = (fm & self.even).bit_count()
-                    if 2 * (half - max(even, taken - even)) < need:
-                        return []
-        # rule (a): keep c unless its last index p >= 1 has t - p < R
-        r = self.run_stack[t]
-        cut = t - r if r else 0
-        last = self.last
-        labels = [c for c in range(maxc, 0, -1) if last[c] <= cut]
-        out: list[tuple[int, int]] = []
-        for c in labels:
-            w = v ^ bit[c]
-            if w == 0:
-                # back at the origin: a closed code in general mode; a
-                # symmetric half-word never revisits it and closes by doubling
-                if not self.symmetric:
-                    self._count_node()
-                    self._close(t + 1, c)
-                continue
-            if (fm >> w) & 1:
-                continue
-            for i, thr in pairs:
-                if (walk[i] ^ w).bit_count() < thr:
-                    break
-            else:
-                out.append((c, w))
-        return out
-
     # -- traversal -----------------------------------------------------------
 
-    def run(self) -> str:
-        """Explore every extension of the current state; returns stop reason."""
-        base = len(self.word)
-        word_cap = self.max_word // 2 if self.symmetric else self.max_word
+    def run(self, prefix: Sequence[int] = ()) -> str:
+        """Push the prefix, then explore every extension of it; returns the
+        stop reason.
+
+        This loop is the only code that pushes, pops and counts a node.
+        The prefix labels take the same push path but are not counted,
+        closed or checked: they come from a traversal that already did.
+        Children are explored in ascending label order, so node totals are
+        reproducible.  Call it once, on a fresh kernel.
+        """
+        d, k, lo, symmetric = self.d, self.k, self.lo, self.symmetric
+        word, walk, bit, balls = self.word, self.walk, self.bit, self.balls
+        schedule, frontier, close = self.schedule, self.frontier, self._close
+        collect_all, stop_depth = self.collect_all, self.stop_depth
+        word_cap = self.max_word // 2 if symmetric else self.max_word
+        budget = self.node_budget
+        deadline = self.deadline
+        # rule (b): on in general mode with a floor
+        even = self.even
+        pfloor = self.floor if even is not None else 0
+        half = 1 << (d - 1)
+        # per-depth state: fms[t] is the ball mask of the word of length t,
+        # prevs[j] the last index of label word[j] before index j
+        fms = [0]
+        prevs: list[int] = []
+        # rule (a) state: the last index of each label, and the leading
+        # run R (0 before any repeat); used is the number of labels seen
+        last = [-1] * (d + 1)
+        used = run_r = 0
+        base = len(prefix)
+        nodes = self.nodes
+        t = fm = 0
+        pend: list[list[int]] = []
         try:
-            if base >= word_cap:
-                return "complete"
-            pend: list[list[tuple[int, int]]] = [self._candidates()]
-            while pend:
-                cands = pend[-1]
-                if not cands:
+            while True:
+                # the children of the node at depth t, as a list that pops
+                # them in ascending label order
+                if t < base:
+                    cands = [prefix[t]]
+                elif t >= word_cap or (stop_depth is not None and t >= stop_depth):
+                    cands = []
+                else:
+                    cands = []
+                    need = pfloor - t - 2
+                    parity_cut = False
+                    if need > 0:
+                        # rule (b): reaching the floor needs 2 * min(free
+                        # even, free odd) >= need; half - taken bounds both
+                        taken = fm.bit_count()
+                        if 2 * (half - taken) < need:
+                            ev = (fm & even).bit_count()
+                            parity_cut = 2 * (half - max(ev, taken - ev)) < need
+                    if not parity_cut:
+                        pairs = schedule.get(t + 1)
+                        if pairs is None:
+                            pairs = schedule[t + 1] = self._pairs(t + 1)
+                        v = walk[t]
+                        # rule (a): keep c unless its last index p >= 1
+                        # has t - p < R
+                        cut = t - run_r if run_r else 0
+                        for c in range(used + 1 if used < d else d, 0, -1):
+                            if last[c] > cut:
+                                continue
+                            w = v ^ bit[c]
+                            if w == 0:
+                                # back at the origin: a closed code in general
+                                # mode; a symmetric half-word never revisits it
+                                # and closes by doubling
+                                if not symmetric:
+                                    nodes += 1
+                                    if budget is not None and nodes >= budget:
+                                        raise _Truncated("nodes")
+                                    if (
+                                        deadline is not None
+                                        and nodes & 0xFF == 0
+                                        and time.monotonic() > deadline
+                                    ):
+                                        raise _Truncated("time")
+                                    n = t + 1
+                                    if n >= 4 and (collect_all or n >= self.incumbent):
+                                        close(n, c)
+                                continue
+                            if (fm >> w) & 1:
+                                continue
+                            for i, thr in pairs:
+                                if (walk[i] ^ w).bit_count() < thr:
+                                    break
+                            else:
+                                cands.append(c)
+                pend.append(cands)
+                # backtrack to the deepest node with a child left
+                while not cands:
                     pend.pop()
-                    if pend:
-                        self._pop()
+                    if not pend:
+                        return "complete"
+                    cands = pend[-1]
+                    c = word.pop()
+                    walk.pop()
+                    fms.pop()
+                    p = last[c] = prevs.pop()
+                    # a first occurrence raised used; the first repeat of
+                    # word[0] fixed R
+                    if p < 0:
+                        used -= 1
+                    elif p == 0:
+                        run_r = 0
+                    t -= 1
+                # push the next child
+                c = cands.pop()
+                p = last[c]
+                prevs.append(p)
+                last[c] = t
+                if p < 0:
+                    used += 1
+                elif p == 0:
+                    # a surviving first repeat is always of word[0]; it fixes R
+                    run_r = t
+                walk.append(walk[t] ^ bit[c])
+                word.append(c)
+                t += 1
+                fm = fms[-1]
+                # the next vertex lies k steps past walk[istar]; its ball
+                # joins the mask
+                istar = t + 1 - k
+                if istar >= lo:
+                    radius = (k if symmetric else min(istar, k)) - 1
+                    v = walk[istar]
+                    fm |= balls[radius][v] or self._new_ball(radius, v)
+                fms.append(fm)
+                if t <= base:
                     continue
-                c, w = cands.pop()
-                self._push(c, w)
-                self._count_node()
-                t = len(self.word)
-                if self.symmetric:
-                    self._close(2 * t)
-                if self.stop_depth is not None and t >= self.stop_depth:
-                    self.frontier.append(tuple(self.word))
-                    self._pop()
-                    continue
-                if t >= word_cap:
-                    self._pop()
-                    continue
-                pend.append(self._candidates())
+                nodes += 1
+                if budget is not None and nodes >= budget:
+                    raise _Truncated("nodes")
+                if deadline is not None and nodes & 0xFF == 0 and time.monotonic() > deadline:
+                    raise _Truncated("time")
+                if symmetric:
+                    n = 2 * t
+                    if n >= 4 and (collect_all or n >= self.incumbent):
+                        close(n)
+                if stop_depth is not None and t >= stop_depth:
+                    frontier.append(tuple(word))
         except _Truncated as tr:
             return tr.reason
         except _TargetReached:
             return "target"
-        return "complete"
+        finally:
+            self.nodes = nodes
 
 
 @dataclass
@@ -536,8 +559,7 @@ def _run_subtree(
     in a pool worker and in-process alike.  ``job`` holds the kernel's run
     arguments."""
     kernel = _Kernel(**job, node_budget=node_budget, incumbent=incumbent)
-    kernel.replay(prefix)
-    reason = kernel.run()
+    reason = kernel.run(prefix)
     return _RunResult(kernel.best, kernel.witnesses, kernel.nodes, reason)
 
 

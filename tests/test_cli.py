@@ -150,6 +150,13 @@ class TestSearch:
         code, _, _ = run_cli(capsys, *argv)
         assert code == 1
 
+    @pytest.mark.parametrize("extra", [["--node-budget", "5"], ["--target", "14"]])
+    def test_zero_workers_is_the_reported_error(self, capsys, extra):
+        # the worker count is checked before the single-worker rules
+        code, _, err = run_cli(capsys, "search", "--d", "5", "--k", "2", "--threads", "0", *extra)
+        assert code == 1
+        assert "workers must be >= 1" in err
+
     def test_max_length_flag_bounds_the_search(self, capsys):
         # a capped run is not a proof: exit 3 and no table verdict
         for d, k, cap in (("3", "1", "6"), ("5", "2", "10")):

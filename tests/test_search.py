@@ -97,7 +97,7 @@ class TestRecordInvariants:
 class TestWorkers:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_witnesses_and_nodes_identical(self, workers, rec_52, rec_63):
-        # the pool tasks rebuild the rotation-breaking state through replay()
+        # the pool tasks rebuild the rotation-breaking state by pushing their prefix
         for single in (rec_52, rec_63):
             rec = max_length(single.params, SearchOptions(workers=workers))
             assert rec.witnesses == single.witnesses
@@ -485,8 +485,9 @@ class TestSymmetricClosure:
         verdicts = []
         passed = []
 
-        def checked(kern):
-            got = real(kern)
+        def checked(kern, t):
+            assert t == len(kern.word)
+            got = real(kern, t)
             assert got == (check_spread(tuple(kern.word) * 2, kern.params) is None), kern.word
             verdicts.append(got)
             if got:
@@ -504,21 +505,26 @@ class TestSymmetricClosure:
         assert kept
 
     @pytest.mark.parametrize("d,k,seed", [(8, 4, 1), (11, 6, 2)])
-    def test_exact_on_random_reached_half_words(self, d, k, seed):
+    def test_exact_on_random_reached_half_words(self, monkeypatch, d, k, seed):
+        # random reached prefixes, each grown by a collect-all kernel that
+        # puts every half-word it reaches through the cross-half test
         rng = random.Random(seed)
         params = CodeParams(d, k)
+        coordinator = search._Kernel(params, "symmetric", None, 1 << d, False, stop_depth=d + 2)
+        assert coordinator.run() == "complete"
+        real = search._Kernel._cross_half_clear
         verdicts = set()
-        for _ in range(150):
-            kern = search._Kernel(params, "symmetric", None, 1 << d, False)
-            while True:
-                cands = kern._candidates()
-                if not cands:
-                    break
-                kern._push(*rng.choice(cands))
-                if len(kern.word) >= 2:
-                    got = kern._cross_half_clear()
-                    assert got == (check_spread(tuple(kern.word) * 2, params) is None)
-                    verdicts.add(got)
+
+        def checked(kern, t):
+            got = real(kern, t)
+            assert got == (check_spread(tuple(kern.word) * 2, params) is None), kern.word
+            verdicts.add(got)
+            return got
+
+        monkeypatch.setattr(search._Kernel, "_cross_half_clear", checked)
+        for prefix in rng.sample(coordinator.frontier, 20):
+            kern = search._Kernel(params, "symmetric", None, 1 << d, True, node_budget=2000)
+            kern.run(prefix)
         assert verdicts == {True, False}
 
     def test_cross_pairs_by_definition(self):
@@ -528,11 +534,13 @@ class TestSymmetricClosure:
         words += [tuple(rng.randint(1, 8) for _ in range(rng.randint(2, 20))) for _ in range(2000)]
         outcomes = set()
         for k in (1, 2, 3, 4, 5):
+            kern = search._Kernel(CodeParams(8, k), "symmetric", None, 256, False)
             for w in words:
-                kern = search._Kernel(CodeParams(8, k), "symmetric", None, 256, False)
-                kern.replay(w)
+                kern.walk = [0]
+                for c in w:
+                    kern.walk.append(kern.walk[-1] ^ (1 << (c - 1)))
                 want = _cross_half_by_definition(w, k)
-                assert kern._cross_half_clear() == want, (w, k)
+                assert kern._cross_half_clear(len(w)) == want, (w, k)
                 outcomes.add(want)
         assert outcomes == {True, False}
 
@@ -560,6 +568,29 @@ class TestNodeCounts:
         assert symmetric_max(CodeParams(12, 7)).nodes == 11499
         assert symmetric_max(CodeParams(13, 8)).nodes == 8739
         assert family_symmetric_max(CodeParams(8, 4), 3).nodes == 1431
+        assert max_length(CodeParams(7, 4)).nodes == 28937
+        assert max_length(CodeParams(8, 5)).nodes == 209011
+
+    @pytest.mark.parametrize(
+        "run,d,k",
+        [
+            (max_length, 5, 2),
+            (symmetric_max, 8, 4),
+            (lambda params, options=None: family_symmetric_max(params, 3, options), 8, 4),
+        ],
+        ids=["K-5-2-seeded", "S-8-4", "F-8-4-3"],
+    )
+    def test_budget_sweep(self, run, d, k):
+        # a budget stops at exactly that node, closure nodes included, and
+        # a budget past the tree completes it
+        full = run(CodeParams(d, k)).nodes
+        for budget in [*range(1, full + 2, 37), full, full + 1]:
+            rec = run(CodeParams(d, k), SearchOptions(node_budget=budget))
+            assert rec.nodes == min(budget, full), budget
+            if budget <= full:
+                assert rec.stop_reason == "nodes" and not rec.exhaustive, budget
+            else:
+                assert rec.stop_reason == "complete" and rec.exhaustive
 
 
 class TestStaticFloor:
