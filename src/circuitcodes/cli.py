@@ -11,6 +11,8 @@ function of the outcome category:
        whose ``--max-length`` is below 2^d (longer codes were not searched)
     4  internal-consistency or audit failure, or an exhaustive search
        that disagrees with the known-values table (MISMATCH)
+    141  stdout was closed early, e.g. by ``| head -1`` (128 + SIGPIPE,
+         what a shell reports for a tool stopped by SIGPIPE)
 
 Search results serialize as one JSON object per line, which ``audit``
 reads back one witness at a time.  When the searched
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .canon import canonical_form
@@ -67,6 +70,7 @@ EXIT_INPUT = 1
 EXIT_VIOLATION = 2
 EXIT_TRUNCATED = 3
 EXIT_INCONSISTENT = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def _err(msg: str) -> None:
@@ -149,9 +153,8 @@ def _cmd_search(args) -> int:
         except OSError as exc:
             _err(f"search: cannot append to {args.out}: {exc}")
             return EXIT_INPUT
-    mode, l = _mode_of(args)
     if record.exhaustive:
-        known = lookup(record.params, mode, l)
+        known = lookup(record.params, record.mode, record.l)
         if known is not None:
             classes = len(
                 {canonical_form(w, include_reversal=True).word for w in record.witnesses}
@@ -378,7 +381,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; fold into the input-error code
         return EXIT_INPUT if exc.code else EXIT_OK
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away; send what is still buffered to devnull so
+        # that the interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -83,16 +83,7 @@ def parse_sequence(text: str, d: int | None = None) -> Word:
                 f"token {token!r} at position {pos} is not an integer"
             ) from None
         labels.append(value)
-    try:
-        return as_word(labels, d)
-    except MalformedSequenceError:
-        limit = d if d is not None else MAX_DIMENSION
-        for pos, value in enumerate(labels, start=1):
-            if not 1 <= value <= limit:
-                raise MalformedSequenceError(
-                    f"label {value} at position {pos} out of range 1..{limit}"
-                ) from None
-        raise
+    return as_word(labels, d)
 
 
 def format_sequence(word: Sequence[int]) -> str:

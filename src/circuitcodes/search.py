@@ -112,7 +112,7 @@ from __future__ import annotations
 import functools
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .canon import IsomorphismClass, canonical_form, classify, leading_runs
@@ -183,7 +183,6 @@ class SearchRecord:
     nodes: int
     seconds: float
     stop_reason: str = "complete"
-    options: SearchOptions | None = field(default=None, repr=False)
 
     def to_json_obj(self) -> dict:
         return {
@@ -640,6 +639,15 @@ def _run_search(
     maximum (rule (c)); that seed shares the node budget and the deadline,
     and its nodes count in the total.
     """
+    if mode not in ("general", "symmetric", "family"):
+        raise ValueError(f"mode must be general, symmetric or family, got {mode!r}")
+    if mode == "family":
+        if not isinstance(l_req, int):
+            raise ValueError(f"family search needs an integer l, got {l_req!r}")
+        if l_req < 2:
+            raise ValueError(f"family parameter l must be >= 2, got {l_req}")
+    elif l_req is not None:
+        raise ValueError(f"{mode} search takes no l, got {l_req!r}")
     if params.d > _MAX_SEARCH_D:
         raise ValueError(
             f"search takes d <= {_MAX_SEARCH_D}: its vertex masks have 2^d bits"
@@ -695,7 +703,6 @@ def _search_record(
         nodes=result.nodes,
         seconds=seconds,
         stop_reason=result.stop_reason,
-        options=options,
     )
 
 
@@ -725,8 +732,6 @@ def family_symmetric_max(
     params: CodeParams, l: int, options: SearchOptions | None = None
 ) -> SearchRecord:
     """Maximum symmetric length among codes with a bit run >= k + l."""
-    if l < 2:
-        raise ValueError(f"family parameter l must be >= 2, got {l}")
     return _search_record(params, "family", l, options)
 
 
@@ -745,9 +750,7 @@ def enumerate_max(
     partial answer when the search was truncated.
     """
     options = options or SearchOptions()
-    if mode == "family" and (l is None or l < 2):
-        raise ValueError("family enumeration needs l >= 2")
-    result = _run_search(params, mode, l if mode == "family" else None, options)
+    result = _run_search(params, mode, l, options)
     if result.stop_reason != "complete":
         raise IncompleteEnumerationError(
             f"search stopped early ({result.stop_reason}); no class list is claimed"

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -170,7 +171,7 @@ class TestSearch:
             assert "truncated (length)" in err
 
     def test_table_mismatch_exits_4(self, capsys, monkeypatch):
-        wrong = KnownValue("general", 16, False, "wrong on purpose")
+        wrong = KnownValue(16, False, "wrong on purpose")
         monkeypatch.setattr(cli, "lookup", lambda params, mode, l=None: wrong)
         code, out, _ = run_cli(capsys, "search", "--d", "5", "--k", "2")
         assert code == 4
@@ -178,7 +179,7 @@ class TestSearch:
 
     def test_unique_row_with_three_classes_exits_4(self, capsys, monkeypatch):
         # K(5,2) has three classes even up to reversal
-        unique = KnownValue("general", 14, True, "unique on purpose")
+        unique = KnownValue(14, True, "unique on purpose")
         monkeypatch.setattr(cli, "lookup", lambda params, mode, l=None: unique)
         code, out, err = run_cli(capsys, "search", "--d", "5", "--k", "2")
         assert code == 4
@@ -197,7 +198,7 @@ class TestSearch:
             CodeParams(4, 1), "general", None, 10, True, (word, mirror), 1, 0.0
         )
         monkeypatch.setattr(cli, "max_length", lambda params, options: record)
-        unique = KnownValue("general", 10, True, "unique on purpose")
+        unique = KnownValue(10, True, "unique on purpose")
         monkeypatch.setattr(cli, "lookup", lambda params, mode, l=None: unique)
         code, out, _ = run_cli(capsys, "search", "--d", "4", "--k", "1")
         assert code == 0
@@ -439,3 +440,24 @@ class TestEntryPoint:
 
     def test_usage_error_exit_1(self, capsys):
         assert main(["bogus-subcommand"]) == 1
+
+    def test_closed_stdout_exits_141(self, monkeypatch, tmp_path):
+        # `search ... | head -1` where the reader is gone before the first line
+        class ClosedPipe:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return self.fd
+
+        with open(tmp_path / "stdout", "w") as sink:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(sink.fileno()))
+            assert main(["search", "--d", "5", "--k", "2"]) == 141
+            # what is still buffered goes to devnull at exit
+            assert os.path.samestat(os.fstat(sink.fileno()), os.stat(os.devnull))

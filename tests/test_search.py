@@ -235,6 +235,29 @@ class TestEnumerate:
             enumerate_max(CodeParams(8, 4), mode="family", l=1)
 
 
+class TestModeValidation:
+    @pytest.mark.parametrize(
+        "mode,l,message",
+        [
+            ("bogus", None, "mode must be general, symmetric or family, got 'bogus'"),
+            ("Symmetric", None, "mode must be general, symmetric or family"),
+            ("family", None, "family search needs an integer l, got None"),
+            ("family", 3.0, "family search needs an integer l, got 3.0"),
+            ("family", 1, "family parameter l must be >= 2, got 1"),
+            ("general", 3, "general search takes no l, got 3"),
+            ("symmetric", 2, "symmetric search takes no l, got 2"),
+        ],
+    )
+    def test_rejected_before_any_search(self, mode, l, message):
+        with pytest.raises(ValueError) as info:
+            enumerate_max(CodeParams(6, 3), mode=mode, l=l)
+        assert message in str(info.value)
+
+    def test_family_l_below_2_keeps_its_message(self):
+        with pytest.raises(ValueError, match=r"family parameter l must be >= 2, got 0"):
+            family_symmetric_max(CodeParams(8, 4), 0)
+
+
 class TestCompletenessToyScale:
     """Pruned search against unpruned cycle enumeration; the full d <= 4
     sweep is an acceptance criterion, this keeps a fast guard here."""
