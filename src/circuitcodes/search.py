@@ -41,9 +41,17 @@ left: vertex i of the first half and vertex t+s of the second, with
 
     (walk[i] ^ walk[s] ^ walk[t]).bit_count() >= min(t - |s-i|, k).
 
-The test is symmetric in i and s, so it runs over i <= s only, nearest
-pairs first (where the violations turn up), and the s == i pairs all
-reduce to one weight test on walk[t].  It works on the raw walk; only a
+The s == i pairs all reduce to one weight test on walk[t].  Most of the
+other pairs are answered by the node's ball mask fm, the union of the
+radius-(k-1) balls around walk[i] for 0 <= i <= t+1-k: for s <= t-k and
+such an i, |s-i| <= t-k, so the pair needs distance k and fails exactly
+when bit walk[s] ^ walk[t] of fm is set.  The ball around walk[0] stands
+for the in-half pair (s, t), which extension pruning has passed, so the
+mask rejects nothing the pair test would keep.  As the test is symmetric
+in i and s, this covers every pair {i, s} with min <= t-k and
+max <= t+1-k; the rest, i < s with s >= t+2-k, are tested pair by pair,
+nearest first.  s runs down from t-k, which rejects a failing half-word
+after about one bit test.  The test works on the raw walk; only a
 doubled word that passes it, and would be recorded, goes through the
 full verifier.
 
@@ -94,12 +102,14 @@ list per radius it uses, so the search takes d <= 20 only.
 
 The traversal is one loop, ``_Kernel.run``: it is the only code that
 pushes, pops and counts a node, and it tests the candidate labels, the
-parity bound and the closure gate inline.  Its per-depth state (the ball
-mask and the last occurrence each push replaced) lives in lists that
-grow with the depth reached.  A task of a multi-worker run starts from a
-prefix found by the coordinator: ``run(prefix)`` pushes the prefix labels
-along the same path, without counting, closing or checking them (the
-coordinator already did), and then explores every extension.
+parity bound and the closure gate inline; in symmetric mode it puts each
+half-word past the gate through the cross-half test with its own fm.
+Its per-depth state (the ball mask and the last occurrence each push
+replaced) lives in lists that grow with the depth reached.  A task of a
+multi-worker run starts from a prefix found by the coordinator:
+``run(prefix)`` pushes the prefix labels along the same path, without
+counting, closing or checking them (the coordinator already did), and
+then explores every extension.
 
 Everything a pruned partial word could ever become is invalid, or a
 non-canonical rotation, or shorter than a code already known; everything
@@ -328,27 +338,35 @@ class _Kernel:
         )
 
     def _cross_pairs(self, t: int) -> tuple[tuple[int, int, int], ...]:
-        """The (i, s, threshold) cross-half schedule of a half-word of
-        length t: 1 <= i < s <= t-1, nearest pairs first."""
+        """The (i, s, threshold) cross-half pairs of a half-word of length t
+        that the ball mask does not cover: 1 <= i < s <= t-1 with
+        s >= t+2-k, nearest pairs first."""
         k = self.k
         return tuple(
             (i, i + gap, min(t - gap, k))
             for gap in range(1, t - 1)
-            for i in range(1, t - gap)
+            for i in range(max(1, t + 2 - k - gap), t - gap)
         )
 
-    def _cross_half_clear(self, t: int) -> bool:
+    def _cross_half_clear(self, t: int, fm: int) -> bool:
         """Whether every cross-half pair of the doubled walk of the
-        half-word of length t is far enough.
+        half-word of length t is far enough; fm is the node's ball mask.
 
         Vertex i of the first half and vertex t+s of the second are
         t - |s-i| apart along the cycle; the second is walk[s] ^ walk[t].
+        Needs the in-half pairs checked, as extension pruning does.
         """
         walk = self.walk
         top = walk[t]
         # the s == i pairs all measure walk[t] at cycle distance t
         if top.bit_count() < min(t, self.k):
             return False
+        # s <= t-k against every walk[i] with i <= t+1-k: the pairs that
+        # need distance k, one bit of fm each; walk[0] stands for the
+        # in-half pair (s, t).  Descending s finds a failure soonest.
+        for s in range(t - self.k, 0, -1):
+            if fm >> (walk[s] ^ top) & 1:
+                return False
         pairs = self.cross_schedule.get(t)
         if pairs is None:
             pairs = self.cross_schedule[t] = self._cross_pairs(t)
@@ -374,10 +392,9 @@ class _Kernel:
         """Verify the code of length n closed at this node and record it if
         it is a wanted code: the word plus label c back at the origin in
         general mode, the doubled half-word in symmetric mode.  run() calls
-        it only past the gate n >= 4 and (collect-all or n >= incumbent)."""
+        it only past the gate n >= 4 and (collect-all or n >= incumbent),
+        and in symmetric mode only once the cross-half test has passed."""
         if self.symmetric:
-            if not self._cross_half_clear(n // 2):
-                return
             code = tuple(self.word) * 2
         else:
             code = tuple(self.word) + (c,)
@@ -406,6 +423,7 @@ class _Kernel:
         d, k, lo, symmetric = self.d, self.k, self.lo, self.symmetric
         word, walk, bit, balls = self.word, self.walk, self.bit, self.balls
         schedule, frontier, close = self.schedule, self.frontier, self._close
+        cross_clear = self._cross_half_clear
         collect_all, stop_depth = self.collect_all, self.stop_depth
         word_cap = self.max_word // 2 if symmetric else self.max_word
         budget = self.node_budget
@@ -531,7 +549,11 @@ class _Kernel:
                     raise _Truncated("time")
                 if symmetric:
                     n = 2 * t
-                    if n >= 4 and (collect_all or n >= self.incumbent):
+                    if (
+                        n >= 4
+                        and (collect_all or n >= self.incumbent)
+                        and cross_clear(t, fm)
+                    ):
                         close(n)
                 if stop_depth is not None and t >= stop_depth:
                     frontier.append(tuple(word))

@@ -480,12 +480,28 @@ class TestKernelPaths:
         assert rec.nodes == single.nodes
 
 
+def _walk(word):
+    walk = [0]
+    for c in word:
+        walk.append(walk[-1] ^ (1 << (c - 1)))
+    return walk
+
+
+def _in_half_by_definition(word, k):
+    """Every pair of the half-word's walk is min(j-i, k) apart, as
+    extension pruning keeps it in symmetric mode."""
+    walk = _walk(word)
+    return all(
+        (walk[i] ^ walk[j]).bit_count() >= min(j - i, k)
+        for j in range(len(walk))
+        for i in range(j)
+    )
+
+
 def _cross_half_by_definition(word, k):
     """Every pair of the doubled walk with one vertex strictly inside each
     half meets the spread requirement."""
-    walk = [0]
-    for c in tuple(word) * 2:
-        walk.append(walk[-1] ^ (1 << (c - 1)))
+    walk = _walk(tuple(word) * 2)
     t = len(word)
     n = 2 * t
     for a in range(1, t):
@@ -508,9 +524,9 @@ class TestSymmetricClosure:
         verdicts = []
         passed = []
 
-        def checked(kern, t):
+        def checked(kern, t, fm):
             assert t == len(kern.word)
-            got = real(kern, t)
+            got = real(kern, t, fm)
             assert got == (check_spread(tuple(kern.word) * 2, kern.params) is None), kern.word
             verdicts.append(got)
             if got:
@@ -527,45 +543,79 @@ class TestSymmetricClosure:
         assert sorted(kern.witnesses) == sorted(kept)
         assert kept
 
-    @pytest.mark.parametrize("d,k,seed", [(8, 4, 1), (11, 6, 2)])
+    @pytest.mark.parametrize("d,k,seed", [(8, 4, 1), (11, 6, 2), (14, 8, 3)])
     def test_exact_on_random_reached_half_words(self, monkeypatch, d, k, seed):
         # random reached prefixes, each grown by a collect-all kernel that
-        # puts every half-word it reaches through the cross-half test
+        # puts every half-word it reaches through the cross-half test; at
+        # d = 14 the subtrees below depth 13 hold too few passing half-words
         rng = random.Random(seed)
         params = CodeParams(d, k)
-        coordinator = search._Kernel(params, "symmetric", None, 1 << d, False, stop_depth=d + 2)
+        depth = min(d + 2, 13)
+        coordinator = search._Kernel(params, "symmetric", None, 1 << d, False, stop_depth=depth)
         assert coordinator.run() == "complete"
         real = search._Kernel._cross_half_clear
         verdicts = set()
 
-        def checked(kern, t):
-            got = real(kern, t)
+        def checked(kern, t, fm):
+            got = real(kern, t, fm)
             assert got == (check_spread(tuple(kern.word) * 2, params) is None), kern.word
             verdicts.add(got)
             return got
 
         monkeypatch.setattr(search._Kernel, "_cross_half_clear", checked)
-        for prefix in rng.sample(coordinator.frontier, 20):
+        frontier = coordinator.frontier
+        for prefix in rng.sample(frontier, min(20, len(frontier))):
             kern = search._Kernel(params, "symmetric", None, 1 << d, True, node_budget=2000)
             kern.run(prefix)
         assert verdicts == {True, False}
 
     def test_cross_pairs_by_definition(self):
-        # arbitrary words, in-half pairs unchecked: only the cross pairs count
+        # words whose in-half pairs pass, as on every half-word the kernel
+        # reaches, with the ball mask the kernel keeps at that node
         words = [w for t in range(2, 7) for w in itertools.product((1, 2, 3), repeat=t)]
         rng = random.Random(3)
         words += [tuple(rng.randint(1, 8) for _ in range(rng.randint(2, 20))) for _ in range(2000)]
+        # random walks that keep their in-half pairs at k = 3, long enough to
+        # use the mask at every k below
+        for _ in range(100):
+            grown = []
+            while len(grown) < 16:
+                options = [c for c in range(1, 9) if _in_half_by_definition((*grown, c), 3)]
+                if not options:
+                    break
+                grown.append(rng.choice(options))
+                words.append(tuple(grown))
         outcomes = set()
         for k in (1, 2, 3, 4, 5):
             kern = search._Kernel(CodeParams(8, k), "symmetric", None, 256, False)
             for w in words:
-                kern.walk = [0]
-                for c in w:
-                    kern.walk.append(kern.walk[-1] ^ (1 << (c - 1)))
+                if not _in_half_by_definition(w, k):
+                    continue
+                t = len(w)
+                kern.walk = _walk(w)
+                fm = 0
+                for i in range(t + 2 - k):
+                    fm |= kern._new_ball(k - 1, kern.walk[i])
                 want = _cross_half_by_definition(w, k)
-                assert kern._cross_half_clear(len(w)) == want, (w, k)
-                outcomes.add(want)
-        assert outcomes == {True, False}
+                assert kern._cross_half_clear(t, fm) == want, (w, k)
+                outcomes.add((k, want))
+        assert outcomes == {(k, want) for k in (1, 2, 3, 4, 5) for want in (True, False)}
+
+    def test_mask_and_pair_schedule_cover_the_cross_pairs(self):
+        # pair {i, s} is covered by the mask when min <= t-k (the bit index
+        # walk[s] ^ walk[t]) and max <= t+1-k (a ball centre in fm); the
+        # pair schedule lists exactly the others, each once
+        for k in range(1, 10):
+            kern = search._Kernel(CodeParams(10, k), "symmetric", None, 1024, False)
+            for t in range(2, 25):
+                want = {
+                    (i, s): min(t - (s - i), k)
+                    for i, s in itertools.combinations(range(1, t), 2)
+                    if not (i <= t - k and s <= t + 1 - k)
+                }
+                pairs = kern._cross_pairs(t)
+                assert len(pairs) == len(want), (t, k)
+                assert {(i, s): thr for i, s, thr in pairs} == want, (t, k)
 
     @pytest.mark.parametrize("mode,l", [("symmetric", None), ("family", 3)])
     def test_full_verifier_gates_every_record(self, monkeypatch, mode, l):
