@@ -41,8 +41,9 @@ left: vertex i of the first half and vertex t+s of the second, with
 
     (walk[i] ^ walk[s] ^ walk[t]).bit_count() >= min(t - |s-i|, k).
 
-The s == i pairs all reduce to one weight test on walk[t].  Most of the
-other pairs are answered by the node's ball mask fm, the union of the
+A pair with s == i measures walk[t] at cycle distance t, as the
+in-half pair (0, t) does, so it needs no test of its own.  Most of the
+others are answered by the node's ball mask fm, the union of the
 radius-(k-1) balls around walk[i] for 0 <= i <= t+1-k: for s <= t-k and
 such an i, |s-i| <= t-k, so the pair needs distance k and fails exactly
 when bit walk[s] ^ walk[t] of fm is set.  The ball around walk[0] stands
@@ -55,7 +56,7 @@ after about one bit test.  The test works on the raw walk; only a
 doubled word that passes it, and would be recorded, goes through the
 full verifier.
 
-Three more rules make the search a branch-and-bound search.
+Four more rules make the search a branch-and-bound search.
 
 (a) Rotation breaking, in every mode (orderly generation, after McKay,
     "Isomorph-free exhaustive generation", J. Algorithms 1998).  The
@@ -96,6 +97,29 @@ Three more rules make the search a branch-and-bound search.
     the floor or the coordinator's best and raises it only on its own
     codes; that incumbent never feeds rule (b), so witnesses and node
     totals do not depend on the number of workers.
+(d) Closability, in every mode: a node is not expanded when none of its
+    descendants can close.  Both bounds read only the node's own walk,
+    never the incumbent or the 2^d-bit mask, and cost O(t) popcounts per
+    push.
+    In symmetric and family mode, let a half-word of length t have a
+    descendant of length T >= t+1 that closes, with top x = walk[T].
+    Every centre i <= t+1-k of fm is T - i >= k steps before x, so x
+    lies outside fm.  For 1 <= s <= t-k, vertex T+s of the doubled walk,
+    x ^ walk[s], is T + s - i >= k steps after centre i and T - s + i >= k
+    steps before it around the cycle, so it lies outside fm as well.  The
+    tops list holds the vertices x that pass both tests; when it is
+    empty, the node still takes its own closure test but gets no
+    children.  A child's list is a sublist of its parent's, so each push
+    narrows the parent's list (``_Kernel._narrow``), starting at t = k+1
+    from the vertices of weight >= k.
+    In general mode, let a word of length t have a descendant code of
+    length N >= t+2.  Its vertex N-1 is a unit vector e_c.  A centre
+    i <= t+1-k of fm is min(N-1-i, i+1) steps from it around the cycle,
+    and N-1-i >= k, so the pair needs distance min(i+1, k), more than the
+    ball's radius min(i, k) - 1: e_c lies outside fm.  A d-bit cover
+    holds the labels c with e_c in fm (``_Kernel._cover``); once it holds
+    every label, the only child tried is the label that closes the code
+    at this node.
 
 The masks take 2^d bits each, and each kernel keeps a 2^d-entry ball
 list per radius it uses, so the search takes d <= 20 only.
@@ -104,8 +128,9 @@ The traversal is one loop, ``_Kernel.run``: it is the only code that
 pushes, pops and counts a node, and it tests the candidate labels, the
 parity bound and the closure gate inline; in symmetric mode it puts each
 half-word past the gate through the cross-half test with its own fm.
-Its per-depth state (the ball mask and the last occurrence each push
-replaced) lives in lists that grow with the depth reached.  A task of a
+Its per-depth state (the ball mask, the rule (d) bound and the last
+occurrence each push replaced) lives in lists that grow with the depth
+reached.  A task of a
 multi-worker run starts from a prefix found by the coordinator:
 ``run(prefix)`` pushes the prefix labels along the same path, without
 counting, closing or checking them (the coordinator already did), and
@@ -247,6 +272,12 @@ def _origin_balls(d: int, max_radius: int) -> tuple[int, ...]:
 
 
 @functools.cache
+def _heavy(d: int, k: int) -> tuple[int, ...]:
+    """The vertices of weight >= k: the tops list before any filter."""
+    return tuple(x for x in range(1 << d) if x.bit_count() >= k)
+
+
+@functools.cache
 def _even_mask(d: int) -> int:
     """Bitmask of the vertices of even weight in the d-cube."""
     even = 1
@@ -298,6 +329,8 @@ class _Kernel:
             for r in range(self.k)
         ]
         self.bit = [0] + [1 << (c - 1) for c in range(1, self.d + 1)]
+        # rule (d) in general mode: the cover holding every label
+        self.units = (1 << self.d) - 1
         self.schedule: dict[int, tuple[tuple[int, int], ...]] = {}
         self.cross_schedule: dict[int, tuple[tuple[int, int, int], ...]] = {}
         # rule (b) of the module docstring: general mode with a floor
@@ -358,9 +391,6 @@ class _Kernel:
         """
         walk = self.walk
         top = walk[t]
-        # the s == i pairs all measure walk[t] at cycle distance t
-        if top.bit_count() < min(t, self.k):
-            return False
         # s <= t-k against every walk[i] with i <= t+1-k: the pairs that
         # need distance k, one bit of fm each; walk[0] stands for the
         # in-half pair (s, t).  Descending s finds a failure soonest.
@@ -374,6 +404,44 @@ class _Kernel:
             if (walk[i] ^ walk[s] ^ top).bit_count() < thr:
                 return False
         return True
+
+    # -- closability (rule (d)) ----------------------------------------------
+
+    def _narrow(self, tops: Sequence[int] | None, t: int) -> list[int]:
+        """The tops list of the half-word of length t > k, from its parent's
+        (None at t = k+1).
+
+        A top x keeps distance k from walk[s] ^ walk[i] for every
+        0 <= s <= t-k and 0 <= i <= t+1-k.  The parent's list meets the
+        pairs with s < t-k and i < t+1-k, and the start list, the vertices
+        of weight >= k, meets (0, 0).  As walk[s] ^ walk[i] is symmetric in
+        s and i, the new pairs are every s <= t-k against the two newest
+        centres a = walk[t-k] and walk[t+1-k] = a ^ e, which differ in one
+        bit e.  For y = x ^ a ^ walk[s], |y| >= k and |y ^ e| >= k both
+        hold exactly when |y & ~e| >= k: one popcount per s and vertex.
+        """
+        k, walk = self.k, self.walk
+        if tops is None:
+            tops = _heavy(self.d, k)
+        a = walk[t - k]
+        keep = ~(a ^ walk[t + 1 - k])
+        for s in range(t - k + 1):
+            c = a ^ walk[s]
+            tops = [x for x in tops if ((x ^ c) & keep).bit_count() >= k]
+            if not tops:
+                break
+        return tops
+
+    def _cover(self, cov: int, radius: int, v: int) -> int:
+        """The unit-label cover once the ball of the radius around v joins
+        the mask: e_c lies in that ball when |v ^ e_c|, which is |v| - 1 for
+        a label c of v and |v| + 1 for the others, is at most the radius."""
+        w = v.bit_count()
+        if w < radius:
+            return self.units
+        if w <= radius + 1:
+            return cov | v
+        return cov
 
     # -- closing a code ------------------------------------------------------
 
@@ -423,7 +491,8 @@ class _Kernel:
         d, k, lo, symmetric = self.d, self.k, self.lo, self.symmetric
         word, walk, bit, balls = self.word, self.walk, self.bit, self.balls
         schedule, frontier, close = self.schedule, self.frontier, self._close
-        cross_clear = self._cross_half_clear
+        cross_clear, narrow, cover = self._cross_half_clear, self._narrow, self._cover
+        units = self.units
         collect_all, stop_depth = self.collect_all, self.stop_depth
         word_cap = self.max_word // 2 if symmetric else self.max_word
         budget = self.node_budget
@@ -433,8 +502,11 @@ class _Kernel:
         pfloor = self.floor if even is not None else 0
         half = 1 << (d - 1)
         # per-depth state: fms[t] is the ball mask of the word of length t,
-        # prevs[j] the last index of label word[j] before index j
+        # bounds[t] its rule (d) state (the tops list in symmetric mode, None
+        # while t <= k; the unit-label cover in general mode), prevs[j] the
+        # last index of label word[j] before index j
         fms = [0]
+        bounds: list = [None if symmetric else 0]
         prevs: list[int] = []
         # rule (a) state: the last index of each label, and the leading
         # run R (0 before any repeat); used is the number of labels seen
@@ -450,7 +522,13 @@ class _Kernel:
                 # them in ascending label order
                 if t < base:
                     cands = [prefix[t]]
-                elif t >= word_cap or (stop_depth is not None and t >= stop_depth):
+                elif (
+                    t >= word_cap
+                    or (stop_depth is not None and t >= stop_depth)
+                    or (symmetric and t > k and not bounds[-1])
+                ):
+                    # rule (d) in symmetric mode: no tops left, so no
+                    # half-word below this one can close
                     cands = []
                 else:
                     cands = []
@@ -468,10 +546,16 @@ class _Kernel:
                         if pairs is None:
                             pairs = schedule[t + 1] = self._pairs(t + 1)
                         v = walk[t]
+                        if symmetric or bounds[-1] != units:
+                            labels = range(used + 1 if used < d else d, 0, -1)
+                        else:
+                            # rule (d) in general mode: every unit vector is
+                            # in fm, so only the label closing here is tried
+                            labels = (v.bit_length(),) if v & (v - 1) == 0 else ()
                         # rule (a): keep c unless its last index p >= 1
                         # has t - p < R
                         cut = t - run_r if run_r else 0
-                        for c in range(used + 1 if used < d else d, 0, -1):
+                        for c in labels:
                             if last[c] > cut:
                                 continue
                             w = v ^ bit[c]
@@ -510,6 +594,7 @@ class _Kernel:
                     c = word.pop()
                     walk.pop()
                     fms.pop()
+                    bounds.pop()
                     p = last[c] = prevs.pop()
                     # a first occurrence raised used; the first repeat of
                     # word[0] fixed R
@@ -531,7 +616,7 @@ class _Kernel:
                 walk.append(walk[t] ^ bit[c])
                 word.append(c)
                 t += 1
-                fm = fms[-1]
+                fm, bound = fms[-1], bounds[-1]
                 # the next vertex lies k steps past walk[istar]; its ball
                 # joins the mask
                 istar = t + 1 - k
@@ -539,7 +624,12 @@ class _Kernel:
                     radius = (k if symmetric else min(istar, k)) - 1
                     v = walk[istar]
                     fm |= balls[radius][v] or self._new_ball(radius, v)
+                    if not symmetric and bound != units:
+                        bound = cover(bound, radius, v)
+                if symmetric and t > k:
+                    bound = narrow(bound, t)
                 fms.append(fm)
+                bounds.append(bound)
                 if t <= base:
                     continue
                 nodes += 1

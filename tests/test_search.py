@@ -624,8 +624,88 @@ class TestSymmetricClosure:
             rec = symmetric_max(CodeParams(8, 4))
         else:
             rec = family_symmetric_max(CodeParams(8, 4), l)
-        assert rec.exhaustive and rec.nodes == 1431
+        assert rec.exhaustive and rec.nodes == 173
         assert rec.n == 0 and rec.witnesses == ()
+
+
+class TestClosability:
+    """Rule (d): the tops list and the unit-label cover are what their
+    definitions say at every node that computes them, and they prune the
+    same nodes for any number of workers."""
+
+    @pytest.mark.parametrize(
+        "d,k,mode,l", [(8, 4, "symmetric", None), (9, 5, "symmetric", None), (8, 4, "family", 3)]
+    )
+    def test_tops_list_by_definition(self, monkeypatch, d, k, mode, l):
+        # a top x lies outside fm_t, the vertices within k-1 of some
+        # walk[i] with i <= t+1-k, and so does x ^ walk[s] for 1 <= s <= t-k
+        real = search._Kernel._narrow
+        alive = []
+
+        def checked(kern, tops, t):
+            got = real(kern, tops, t)
+            walk = kern.walk
+            assert t == len(kern.word) > k
+            free = {
+                y
+                for y in range(1 << d)
+                if all((y ^ walk[i]).bit_count() >= k for i in range(t + 2 - k))
+            }
+            want = [
+                x
+                for x in range(1 << d)
+                if x in free and all(x ^ walk[s] in free for s in range(1, t - k + 1))
+            ]
+            assert got == want, kern.word
+            alive.append(bool(got))
+            return got
+
+        monkeypatch.setattr(search._Kernel, "_narrow", checked)
+        kern = search._Kernel(CodeParams(d, k), mode, l, 1 << d, False)
+        assert kern.run() == "complete"
+        # every node deeper than k narrows its list once; above it, spread
+        # k allows only the word 1, 2, ..., t
+        assert len(alive) == kern.nodes - k
+        assert set(alive) == {True, False}
+
+    @pytest.mark.parametrize("d,k", [(6, 3), (7, 4)])
+    def test_unit_cover_by_definition(self, monkeypatch, d, k):
+        # label c is covered when e_c lies in the radius-(min(i,k)-1) ball
+        # around walk[i] for some 1 <= i <= t+1-k
+        real = search._Kernel._cover
+        covers = []
+
+        def checked(kern, cov, radius, v):
+            got = real(kern, cov, radius, v)
+            walk, t = kern.walk, len(kern.word)
+            assert v == walk[t + 1 - k] and radius == min(t + 1 - k, k) - 1
+            want = 0
+            for c in range(1, d + 1):
+                e = 1 << (c - 1)
+                if any(
+                    (walk[i] ^ e).bit_count() <= min(i, k) - 1 for i in range(1, t + 2 - k)
+                ):
+                    want |= e
+            assert got == want, kern.word
+            covers.append(got)
+            return got
+
+        monkeypatch.setattr(search._Kernel, "_cover", checked)
+        rec = max_length(CodeParams(d, k))
+        assert rec.exhaustive
+        assert (1 << d) - 1 in covers and min(covers) < (1 << d) - 1
+
+    @pytest.mark.parametrize(
+        "run,d,k,nodes", [(max_length, 7, 3, 240866), (symmetric_max, 11, 6, 2151)]
+    )
+    def test_workers_give_the_same_node_total(self, run, d, k, nodes):
+        # both bounds read only the node's own state, and a pool task
+        # builds them along its prefix
+        single = run(CodeParams(d, k))
+        split = run(CodeParams(d, k), SearchOptions(workers=2))
+        assert single.nodes == split.nodes == nodes
+        assert single.witnesses == split.witnesses
+        assert split.exhaustive
 
 
 class TestNodeCounts:
@@ -633,16 +713,16 @@ class TestNodeCounts:
     on purpose and updates these numbers with its proof of soundness."""
 
     def test_pinned_totals(self, rec_52, rec_63, rec_84_sym):
-        assert rec_52.nodes == 2184
-        assert rec_63.nodes == 4204
-        assert rec_84_sym.nodes == 1431
-        assert symmetric_max(CodeParams(9, 5)).nodes == 655
-        assert symmetric_max(CodeParams(11, 6)).nodes == 25666
-        assert symmetric_max(CodeParams(12, 7)).nodes == 11499
-        assert symmetric_max(CodeParams(13, 8)).nodes == 8739
-        assert family_symmetric_max(CodeParams(8, 4), 3).nodes == 1431
-        assert max_length(CodeParams(7, 4)).nodes == 28937
-        assert max_length(CodeParams(8, 5)).nodes == 209011
+        assert rec_52.nodes == 1342
+        assert rec_63.nodes == 1438
+        assert rec_84_sym.nodes == 173
+        assert symmetric_max(CodeParams(9, 5)).nodes == 152
+        assert symmetric_max(CodeParams(11, 6)).nodes == 2151
+        assert symmetric_max(CodeParams(12, 7)).nodes == 1855
+        assert symmetric_max(CodeParams(13, 8)).nodes == 1856
+        assert family_symmetric_max(CodeParams(8, 4), 3).nodes == 173
+        assert max_length(CodeParams(7, 4)).nodes == 3740
+        assert max_length(CodeParams(8, 5)).nodes == 9896
 
     @pytest.mark.parametrize(
         "run,d,k",
