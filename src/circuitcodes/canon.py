@@ -15,8 +15,8 @@ with a shorter leading run is therefore smaller than one with a longer
 run, and the minimum lies among the rotations of minimal leading run.
 :func:`leading_runs` computes the run of every rotation in linear time
 and only those rotations are relabeled and compared.  The exhaustive
-search prunes by the same invariant, and the full rotation scan stays in
-``circuitcodes.oracles`` as the test reference.
+search prunes by the same invariant, and the full rotation scan is the
+test reference, in the test suite's ``oracles`` module.
 """
 
 from __future__ import annotations

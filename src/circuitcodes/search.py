@@ -118,19 +118,25 @@ Four more rules make the search a branch-and-bound search.
     and N-1-i >= k, so the pair needs distance min(i+1, k), more than the
     ball's radius min(i, k) - 1: e_c lies outside fm.  A d-bit cover
     holds the labels c with e_c in fm (``_Kernel._cover``); once it holds
-    every label, the only child tried is the label that closes the code
-    at this node.
+    every label, the only child tried is the closing step, the label that
+    takes the walk back to the origin, and that child is a leaf.
 
 The masks take 2^d bits each, and each kernel keeps a 2^d-entry ball
 list per radius it uses, so the search takes d <= 20 only.
 
 The traversal is one loop, ``_Kernel.run``: it is the only code that
-pushes, pops and counts a node, and it tests the candidate labels, the
-parity bound and the closure gate inline; in symmetric mode it puts each
-half-word past the gate through the cross-half test with its own fm.
-Its per-depth state (the ball mask, the rule (d) bound and the last
-occurrence each push replaced) lives in lists that grow with the depth
-reached.  A task of a
+pushes, pops and counts a node, and it tests the candidate labels and the
+parity bound inline.  In general mode the closing step, the label that
+takes the walk back to the origin, is pushed like any other child, as a
+leaf: it is explored before its siblings, and a closed word is never
+extended or handed to a task.  Each node is counted and checked against
+the node budget and the deadline at one site, right after its push, and
+one closure test follows.  Past the gate n >= 4 and (collect-all or
+n >= incumbent), a word back at the origin closes as itself, and a
+symmetric half-word closes as its doubled word when that passes the
+cross-half test with the node's own fm.  The per-depth state (the ball
+mask, the rule (d) bound and the last occurrence each push replaced)
+lives in lists that grow with the depth reached.  A task of a
 multi-worker run starts from a prefix found by the coordinator:
 ``run(prefix)`` pushes the prefix labels along the same path, without
 counting, closing or checking them (the coordinator already did), and
@@ -456,16 +462,14 @@ class _Kernel:
         if self.target is not None and n >= self.target:
             raise _TargetReached()
 
-    def _close(self, n: int, c: int = 0) -> None:
+    def _close(self, n: int) -> None:
         """Verify the code of length n closed at this node and record it if
-        it is a wanted code: the word plus label c back at the origin in
-        general mode, the doubled half-word in symmetric mode.  run() calls
-        it only past the gate n >= 4 and (collect-all or n >= incumbent),
-        and in symmetric mode only once the cross-half test has passed."""
-        if self.symmetric:
-            code = tuple(self.word) * 2
-        else:
-            code = tuple(self.word) + (c,)
+        it is a wanted code: the word itself, back at the origin, in general
+        mode, the doubled half-word in symmetric mode.  run() calls it only
+        past the gate n >= 4 and (collect-all or n >= incumbent), and in
+        symmetric mode only once the cross-half test has passed."""
+        # n is t in general mode and 2t in symmetric mode
+        code = tuple(self.word) * (n // len(self.word))
         # rule (a) across the wrap: some rotation has a shorter run
         runs = leading_runs(code)
         if min(runs) < runs[0]:
@@ -482,11 +486,12 @@ class _Kernel:
         """Push the prefix, then explore every extension of it; returns the
         stop reason.
 
-        This loop is the only code that pushes, pops and counts a node.
-        The prefix labels take the same push path but are not counted,
-        closed or checked: they come from a traversal that already did.
-        Children are explored in ascending label order, so node totals are
-        reproducible.  Call it once, on a fresh kernel.
+        This loop is the only code that pushes, pops, counts and closes a
+        node.  The prefix labels take the same push path but are not
+        counted, closed or checked: they come from a traversal that already
+        did.  Children are explored in ascending label order, the closing
+        step first, so node totals are reproducible.  Call it once, on a
+        fresh kernel.
         """
         d, k, lo, symmetric = self.d, self.k, self.lo, self.symmetric
         word, walk, bit, balls = self.word, self.walk, self.bit, self.balls
@@ -495,6 +500,9 @@ class _Kernel:
         units = self.units
         collect_all, stop_depth = self.collect_all, self.stop_depth
         word_cap = self.max_word // 2 if symmetric else self.max_word
+        if stop_depth is not None:
+            # split above the last level, where every node is a leaf
+            stop_depth = min(stop_depth, max(word_cap - 1, 1))
         budget = self.node_budget
         deadline = self.deadline
         # rule (b): on in general mode with a floor
@@ -519,16 +527,17 @@ class _Kernel:
         try:
             while True:
                 # the children of the node at depth t, as a list that pops
-                # them in ascending label order
+                # the closing step first, then the rest in ascending label order
                 if t < base:
                     cands = [prefix[t]]
                 elif (
                     t >= word_cap
                     or (stop_depth is not None and t >= stop_depth)
+                    or (t > 0 and walk[t] == 0)
                     or (symmetric and t > k and not bounds[-1])
                 ):
-                    # rule (d) in symmetric mode: no tops left, so no
-                    # half-word below this one can close
+                    # a closed code is a leaf; rule (d) in symmetric mode:
+                    # no tops left, so no half-word below this one can close
                     cands = []
                 else:
                     cands = []
@@ -555,27 +564,13 @@ class _Kernel:
                         # rule (a): keep c unless its last index p >= 1
                         # has t - p < R
                         cut = t - run_r if run_r else 0
+                        closer = 0
                         for c in labels:
                             if last[c] > cut:
                                 continue
                             w = v ^ bit[c]
                             if w == 0:
-                                # back at the origin: a closed code in general
-                                # mode; a symmetric half-word never revisits it
-                                # and closes by doubling
-                                if not symmetric:
-                                    nodes += 1
-                                    if budget is not None and nodes >= budget:
-                                        raise _Truncated("nodes")
-                                    if (
-                                        deadline is not None
-                                        and nodes & 0xFF == 0
-                                        and time.monotonic() > deadline
-                                    ):
-                                        raise _Truncated("time")
-                                    n = t + 1
-                                    if n >= 4 and (collect_all or n >= self.incumbent):
-                                        close(n, c)
+                                closer = c
                                 continue
                             if (fm >> w) & 1:
                                 continue
@@ -584,6 +579,11 @@ class _Kernel:
                                     break
                             else:
                                 cands.append(c)
+                        if closer and not symmetric:
+                            # back at the origin: the closed code is a leaf
+                            # child, popped first; a symmetric half-word never
+                            # revisits the origin and closes by doubling
+                            cands.append(closer)
                 pend.append(cands)
                 # backtrack to the deepest node with a child left
                 while not cands:
@@ -637,15 +637,14 @@ class _Kernel:
                     raise _Truncated("nodes")
                 if deadline is not None and nodes & 0xFF == 0 and time.monotonic() > deadline:
                     raise _Truncated("time")
-                if symmetric:
-                    n = 2 * t
-                    if (
-                        n >= 4
-                        and (collect_all or n >= self.incumbent)
-                        and cross_clear(t, fm)
-                    ):
-                        close(n)
-                if stop_depth is not None and t >= stop_depth:
+                n = 2 * t if symmetric else t
+                if (
+                    n >= 4
+                    and (collect_all or n >= self.incumbent)
+                    and (cross_clear(t, fm) if symmetric else walk[t] == 0)
+                ):
+                    close(n)
+                if stop_depth is not None and t >= stop_depth and walk[t]:
                     frontier.append(tuple(word))
         except _Truncated as tr:
             return tr.reason
@@ -663,13 +662,11 @@ class _RunResult:
     stop_reason: str
 
 
-def _run_subtree(
-    job: dict, prefix: Word, node_budget: int | None, incumbent: int
-) -> _RunResult:
+def _run_subtree(job: dict, prefix: Word, incumbent: int) -> _RunResult:
     """Search every extension of one prefix: the unit of work of every run,
     in a pool worker and in-process alike.  ``job`` holds the kernel's run
-    arguments."""
-    kernel = _Kernel(**job, node_budget=node_budget, incumbent=incumbent)
+    arguments, its stop rules included."""
+    kernel = _Kernel(**job, incumbent=incumbent)
     reason = kernel.run(prefix)
     return _RunResult(kernel.best, kernel.witnesses, kernel.nodes, reason)
 
@@ -688,9 +685,12 @@ def _pool_map(tasks: list[tuple], workers: int) -> list[_RunResult] | None:
         return None
 
 
-def _run_tree(job: dict, node_budget: int | None, workers: int) -> _RunResult:
+def _run_tree(job: dict, workers: int) -> _RunResult:
     """Traverse one search tree, split over ``workers`` processes.
 
+    The coordinator explores the tree down to depth max(4, k+3), which its
+    kernel lowers to fit the word length cap, and every open word at that
+    depth is a task; closed codes are leaves and never become tasks.
     Every task starts from the floor or the coordinator's best and raises
     its own incumbent.  The incumbent only decides which closures get
     verified, never which nodes are expanded, so the merged answer and
@@ -699,22 +699,18 @@ def _run_tree(job: dict, node_budget: int | None, workers: int) -> _RunResult:
     """
     floor = job["floor"]
     results: list[_RunResult] = []
-    tasks = [(job, (), node_budget, floor)]
+    tasks = [(job, (), floor)]
     if workers > 1:
         # split the tree at a fixed prefix depth, farm out subtrees
-        mode, max_word = job["mode"], job["max_word"]
-        depth_cap = max_word // 2 if mode != "general" else max_word
-        stop_depth = min(max(4, job["params"].k + 3), max(depth_cap - 1, 1))
-        coordinator = _Kernel(
-            **job, node_budget=node_budget, incumbent=floor, stop_depth=stop_depth
-        )
+        stop_depth = max(4, job["params"].k + 3)
+        coordinator = _Kernel(**job, incumbent=floor, stop_depth=stop_depth)
         reason = coordinator.run()
         results.append(
             _RunResult(coordinator.best, coordinator.witnesses, coordinator.nodes, reason)
         )
         prefixes = coordinator.frontier if reason == "complete" else []
         incumbent = max(floor, coordinator.best)
-        tasks = [(job, prefix, node_budget, incumbent) for prefix in prefixes]
+        tasks = [(job, prefix, incumbent) for prefix in prefixes]
     done = _pool_map(tasks, workers) if workers > 1 and tasks else None
     if done is None:
         # one worker, or no subprocess support here: the same tasks in-process
@@ -733,9 +729,9 @@ def _run_tree(job: dict, node_budget: int | None, workers: int) -> _RunResult:
     return _RunResult(best, raws, sum(r.nodes for r in results), stop)
 
 
-def _symmetric_floor(job: dict, node_budget: int | None) -> _RunResult:
+def _symmetric_floor(job: dict) -> _RunResult:
     """The symmetric maximum, searched in-process: a lower bound on K(d,k)."""
-    return _run_tree({**job, "mode": "symmetric", "target": None}, node_budget, 1)
+    return _run_tree({**job, "mode": "symmetric", "target": None}, 1)
 
 
 def _run_search(
@@ -772,17 +768,17 @@ def _run_search(
     job = dict(
         params=params, mode=mode, l_req=l_req, max_word=max_word,
         collect_all=collect_all, floor=0, target=options.target, deadline=deadline,
+        node_budget=options.node_budget,
     )
-    node_budget = options.node_budget
     seed = None
     if mode == "general" and not collect_all and max_word == full:
-        seed = _symmetric_floor(job, node_budget)
+        seed = _symmetric_floor(job)
         if seed.stop_reason != "complete":
             return seed  # its codes are general codes too, but nothing is proved
         job["floor"] = seed.best
-        if node_budget is not None:
-            node_budget -= seed.nodes
-    result = _run_tree(job, node_budget, options.workers)
+        if job["node_budget"] is not None:
+            job["node_budget"] -= seed.nodes
+    result = _run_tree(job, options.workers)
     if seed is not None:
         result.nodes += seed.nodes
         if result.best < seed.best:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .canon import CanonicalForm, _first_occurrence_relabel
-from .core import CodeParams, Word, as_word
-from .search import IncompleteEnumerationError, SearchOptions, _run_search
-from .verify import brute_force_check
+from circuitcodes.canon import CanonicalForm, _first_occurrence_relabel
+from circuitcodes.core import CodeParams, Word, as_word
+from circuitcodes.search import IncompleteEnumerationError, SearchOptions, _run_search
+from circuitcodes.verify import brute_force_check
 
 
 def canonical_form_bruteforce(

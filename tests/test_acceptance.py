@@ -32,7 +32,7 @@ from circuitcodes import (
     symmetric_max,
 )
 from circuitcodes.cli import main as cli_main
-from circuitcodes.oracles import (
+from oracles import (
     all_valid_codes,
     canonical_form_bruteforce,
     enumerate_codes_bruteforce,

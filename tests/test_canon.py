@@ -16,7 +16,7 @@ from circuitcodes import (
     rotate,
 )
 from circuitcodes.canon import leading_runs
-from circuitcodes.oracles import canonical_form_bruteforce
+from oracles import canonical_form_bruteforce
 
 
 def apply_relabel(word, perm):

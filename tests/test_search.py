@@ -20,7 +20,7 @@ from circuitcodes import (
 )
 from circuitcodes import search
 from circuitcodes.canon import leading_runs
-from circuitcodes.oracles import all_valid_codes, enumerate_codes_bruteforce
+from oracles import all_valid_codes, enumerate_codes_bruteforce
 
 
 class TestSmallMaxima:
@@ -116,6 +116,18 @@ class TestDecisionMode:
         assert rec.n >= 14
         assert rec.stop_reason == "target"
         assert not rec.exhaustive
+
+    def test_target_stop_pins_the_exploration_order(self):
+        # the child that closes a code is explored before the node's other
+        # children: explored last, the first two stops come one node
+        # sooner; explored in label order, the third comes two nodes later
+        rec = max_length(CodeParams(5, 2), SearchOptions(target=14))
+        assert (rec.n, rec.nodes, rec.stop_reason) == (14, 981, "target")
+        assert rec.witnesses == ((1, 2, 3, 1, 4, 2, 1, 5, 2, 3, 1, 2, 4, 5),)
+        rec = max_length(CodeParams(6, 3), SearchOptions(target=16))
+        assert (rec.n, rec.nodes, rec.stop_reason) == (16, 1197, "target")
+        rec = max_length(CodeParams(6, 3), SearchOptions(target=10, max_length=14))
+        assert (rec.n, rec.nodes, rec.stop_reason) == (10, 1223, "target")
 
     def test_target_unreachable_completes(self):
         rec = max_length(CodeParams(5, 2), SearchOptions(target=16))
@@ -458,7 +470,8 @@ class TestKernelPaths:
         assert rec.exhaustive
 
     @pytest.mark.parametrize(
-        "d,k,run,tasks", [(5, 2, max_length, 6), (8, 4, symmetric_max, 3)]
+        "d,k,run,tasks",
+        [(5, 2, max_length, 6), (8, 4, symmetric_max, 3), (7, 3, max_length, 8)],
     )
     def test_pool_starts_no_more_processes_than_tasks(self, monkeypatch, d, k, run, tasks):
         single = run(CodeParams(d, k))
