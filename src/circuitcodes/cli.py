@@ -107,9 +107,9 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _search_options(args) -> SearchOptions:
+def _search_options(args, target: int | None = None) -> SearchOptions:
     return SearchOptions(
-        target=args.target,
+        target=target,
         max_length=args.max_length,
         node_budget=args.node_budget,
         time_limit=args.time_limit,
@@ -119,7 +119,7 @@ def _search_options(args) -> SearchOptions:
 
 def _run_search_command(args) -> SearchRecord:
     params = CodeParams(args.d, args.k)
-    options = _search_options(args)
+    options = _search_options(args, args.target)
     if args.family_l is not None:
         return family_symmetric_max(params, args.family_l, options)
     if args.symmetric:
@@ -328,12 +328,10 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
         metavar="L",
         help="restrict to symmetric codes containing a bit run >= k+L (implies --symmetric)",
     )
-    p.add_argument("--target", type=int, default=None, help="decision mode: stop at length >= N")
     p.add_argument("--threads", type=int, default=1, help="worker count")
     p.add_argument("--time-limit", type=float, default=None, metavar="S", help="seconds before truncating")
     p.add_argument("--node-budget", type=int, default=None, help="max nodes before truncating")
     p.add_argument("--max-length", type=int, default=None, help="bound on code length (default 2^d); below 2^d the run is not exhaustive")
-    p.add_argument("--out", default=None, help="append the result record to this JSONL file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,6 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="maximum code length for (d, k)")
     _add_search_flags(p)
+    p.add_argument("--target", type=int, default=None, help="decision mode: stop at length >= N")
+    p.add_argument("--out", default=None, help="append the result record to this JSONL file")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("enumerate", help="isomorphism classes of all maximum codes")

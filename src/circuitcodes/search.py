@@ -50,11 +50,11 @@ when bit walk[s] ^ walk[t] of fm is set.  The ball around walk[0] stands
 for the in-half pair (s, t), which extension pruning has passed, so the
 mask rejects nothing the pair test would keep.  As the test is symmetric
 in i and s, this covers every pair {i, s} with min <= t-k and
-max <= t+1-k; the rest, i < s with s >= t+2-k, are tested pair by pair,
-nearest first.  s runs down from t-k, which rejects a failing half-word
-after about one bit test.  The test works on the raw walk; only a
-doubled word that passes it, and would be recorded, goes through the
-full verifier.
+max <= t+1-k.  The rest, i < s with s >= t+2-k, are left to the
+verifier.  s runs down from t-k, which rejects a failing half-word after
+about one bit test.  The test works on the raw walk and is a necessary
+condition only: a doubled word that passes it, and would be recorded,
+goes through the full verifier, which decides the remaining pairs.
 
 Four more rules make the search a branch-and-bound search.
 
@@ -90,13 +90,14 @@ Four more rules make the search a branch-and-bound search.
 (c) A static floor.  Every symmetric code is a general code, so the
     symmetric maximum is a lower bound on K(d,k).  A general run that
     can claim a maximum (not collect-all, length cap 2^d) first runs the
-    symmetric search in-process on the same node budget and deadline.
-    Its length seeds the incumbent, so shorter closures are not
-    verified, and it is the floor of rule (b).  The floor is fixed for
-    the run.  Each task of a multi-worker run starts its incumbent from
-    the floor or the coordinator's best and raises it only on its own
-    codes; that incumbent never feeds rule (b), so witnesses and node
-    totals do not depend on the number of workers.
+    symmetric search in-process on the same node budget, deadline and
+    target; a target the seed meets ends the run there, as its codes are
+    general codes.  Its length seeds the incumbent, so shorter closures
+    are not verified, and it is the floor of rule (b).  The floor is
+    fixed for the run.  Each task of a multi-worker run starts its
+    incumbent from the floor or the coordinator's best and raises it only
+    on its own codes; that incumbent never feeds rule (b), so witnesses
+    and node totals do not depend on the number of workers.
 (d) Closability, in every mode: a node is not expanded when none of its
     descendants can close.  Both bounds read only the node's own walk,
     never the incumbent or the 2^d-bit mask, and cost O(t) popcounts per
@@ -172,12 +173,13 @@ class SearchOptions:
     """Knobs for a search run.
 
     ``target`` switches to decision mode: stop as soon as a code of at
-    least that length is found.  ``max_length`` bounds the word length
-    (default 2^d, which no cycle can exceed); a bound below 2^d leaves
-    longer codes unsearched, so such a run ends with stop reason
-    ``length`` and is not exhaustive.  Budgets make the run stop early
-    and report itself as non-exhaustive.  A target or a node budget
-    needs a single worker: tasks share no state to honour either.
+    least that length is found, by the symmetric seed of a general run
+    as well.  ``max_length`` bounds the word length (default 2^d, which
+    no cycle can exceed); a bound below 2^d leaves longer codes
+    unsearched, so such a run ends with stop reason ``length`` and is
+    not exhaustive.  Budgets make the run stop early and report itself
+    as non-exhaustive.  A target or a node budget needs a single worker:
+    tasks share no state to honour either.
     """
 
     target: int | None = None
@@ -338,7 +340,6 @@ class _Kernel:
         # rule (d) in general mode: the cover holding every label
         self.units = (1 << self.d) - 1
         self.schedule: dict[int, tuple[tuple[int, int], ...]] = {}
-        self.cross_schedule: dict[int, tuple[tuple[int, int, int], ...]] = {}
         # rule (b) of the module docstring: general mode with a floor
         self.floor = floor
         self.even = _even_mask(self.d) if not self.symmetric and floor > 0 else None
@@ -376,20 +377,11 @@ class _Kernel:
             for i in range(j - 2, last - 1, -1)
         )
 
-    def _cross_pairs(self, t: int) -> tuple[tuple[int, int, int], ...]:
-        """The (i, s, threshold) cross-half pairs of a half-word of length t
-        that the ball mask does not cover: 1 <= i < s <= t-1 with
-        s >= t+2-k, nearest pairs first."""
-        k = self.k
-        return tuple(
-            (i, i + gap, min(t - gap, k))
-            for gap in range(1, t - 1)
-            for i in range(max(1, t + 2 - k - gap), t - gap)
-        )
-
     def _cross_half_clear(self, t: int, fm: int) -> bool:
-        """Whether every cross-half pair of the doubled walk of the
-        half-word of length t is far enough; fm is the node's ball mask.
+        """Whether the cross-half pairs of the doubled walk of the half-word
+        of length t that the ball mask fm covers are far enough: every pair
+        {i, s} with min <= t-k and max <= t+1-k.  A necessary condition
+        only; the verifier decides the rest.
 
         Vertex i of the first half and vertex t+s of the second are
         t - |s-i| apart along the cycle; the second is walk[s] ^ walk[t].
@@ -402,12 +394,6 @@ class _Kernel:
         # in-half pair (s, t).  Descending s finds a failure soonest.
         for s in range(t - self.k, 0, -1):
             if fm >> (walk[s] ^ top) & 1:
-                return False
-        pairs = self.cross_schedule.get(t)
-        if pairs is None:
-            pairs = self.cross_schedule[t] = self._cross_pairs(t)
-        for i, s, thr in pairs:
-            if (walk[i] ^ walk[s] ^ top).bit_count() < thr:
                 return False
         return True
 
@@ -731,7 +717,7 @@ def _run_tree(job: dict, workers: int) -> _RunResult:
 
 def _symmetric_floor(job: dict) -> _RunResult:
     """The symmetric maximum, searched in-process: a lower bound on K(d,k)."""
-    return _run_tree({**job, "mode": "symmetric", "target": None}, 1)
+    return _run_tree({**job, "mode": "symmetric"}, 1)
 
 
 def _run_search(
@@ -744,8 +730,8 @@ def _run_search(
     """Run one search; ``collect_all`` keeps every valid code (test oracle).
 
     A general run that may claim a maximum first searches the symmetric
-    maximum (rule (c)); that seed shares the node budget and the deadline,
-    and its nodes count in the total.
+    maximum (rule (c)); that seed shares the node budget, the deadline and
+    the target, and its nodes count in the total.
     """
     if mode not in ("general", "symmetric", "family"):
         raise ValueError(f"mode must be general, symmetric or family, got {mode!r}")
@@ -820,7 +806,8 @@ def max_length(params: CodeParams, options: SearchOptions | None = None) -> Sear
     Exhaustive unless a budget interrupts; decision mode (``target``)
     stops at the first code of at least the target length.  Unless the
     length is capped below 2^d, the symmetric maximum is searched first as
-    a lower bound; its nodes count in ``nodes``.
+    a lower bound; its nodes count in ``nodes``, and a target it meets
+    ends the run with its symmetric codes.
     """
     return _search_record(params, "general", None, options)
 
@@ -831,7 +818,8 @@ def symmetric_max(
     """Maximum length of a symmetric (d,k) circuit code.
 
     Searches half-words; a candidate closes as the doubled word, which is
-    put through the full verifier once its cross-half pairs pass.
+    put through the full verifier once the ball-mask test of its
+    cross-half pairs passes.
     """
     return _search_record(params, "symmetric", None, options)
 

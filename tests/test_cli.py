@@ -145,6 +145,8 @@ class TestSearch:
             ["search", "--d", "5", "--k", "0"],
             ["search", "--d", "21", "--k", "5"],
             ["search", "--d", "5", "--k", "2", "--threads", "2", "--node-budget", "100"],
+            ["enumerate", "--d", "5", "--k", "2", "--out", "enumerate.jsonl"],
+            ["enumerate", "--d", "5", "--k", "2", "--target", "14"],
         ],
     )
     def test_invalid_flags_exit_1(self, capsys, argv):
