@@ -17,6 +17,10 @@ run, and the minimum lies among the rotations of minimal leading run.
 and only those rotations are relabeled and compared.  The exhaustive
 search prunes by the same invariant, and the full rotation scan is the
 test reference, in the test suite's ``oracles`` module.
+Rotation s + p of a word of smallest period p is rotation s again and
+ties go to the smaller shift, so only shifts below p are candidates; a
+candidate is relabeled only while it ties the incumbent, and a loser
+stops at its first larger label.
 """
 
 from __future__ import annotations
@@ -27,14 +31,27 @@ from typing import Iterable, Sequence
 from .core import Word, as_word
 
 
-def _first_occurrence_relabel(word: Word) -> tuple[Word, dict[int, int]]:
-    mapping: dict[int, int] = {}
-    out = []
-    for c in word:
-        if c not in mapping:
-            mapping[c] = len(mapping) + 1
-        out.append(mapping[c])
-    return tuple(out), mapping
+def _least_rotation(word: Word, starts: Iterable[int]) -> tuple[Word, int, dict[int, int]]:
+    """(word, shift, mapping) of the least first-occurrence relabeling of
+    the rotations at ``starts`` (ascending, not empty), earliest on ties."""
+    n = len(word)
+    doubled = word + word
+    best: Word | None = None
+    for s in starts:
+        mapping: dict[int, int] = {}
+        out = []
+        tied = best is not None
+        for i, c in enumerate(doubled[s : s + n]):
+            label = mapping.setdefault(c, len(mapping) + 1)
+            if tied and label != best[i]:
+                if label > best[i]:
+                    break
+                tied = False
+            out.append(label)
+        else:
+            if not tied:
+                best, shift, best_mapping = tuple(out), s, mapping
+    return best, shift, best_mapping
 
 
 def leading_runs(word: Sequence[int]) -> list[int]:
@@ -95,24 +112,19 @@ def canonical_form(
     n = len(w)
     if n == 0:
         return CanonicalForm(word=(), shift=0, relabeling=())
-    best_word: Word | None = None
-    best = (0, False)
+    period = next(p for p in range(1, n + 1) if n % p == 0 and w[p:] == w[: n - p])
     orientations = [(w, False, leading_runs(w))]
     if include_reversal:
         orientations.append((w[::-1], True, leading_runs(w[::-1])))
     shortest = min(min(runs) for _, _, runs in orientations)
+    best = None
     for base, reversed_flag, runs in orientations:
-        for s in range(n):
-            if runs[s] != shortest:
-                continue
-            cand, _ = _first_occurrence_relabel(base[s:] + base[:s])
-            if best_word is None or cand < best_word:
-                best_word = cand
-                best = (s, reversed_flag)
-    shift, reversed_flag = best
-    base = w[::-1] if reversed_flag else w
-    _, mapping = _first_occurrence_relabel(base[shift:] + base[:shift])
-    assert best_word is not None
+        starts = [s for s in range(period) if runs[s] == shortest]
+        if starts:
+            cand = _least_rotation(base, starts)
+            if best is None or cand[0] < best[0][0]:
+                best = (cand, reversed_flag)
+    (best_word, shift, mapping), reversed_flag = best
     return CanonicalForm(
         word=best_word,
         shift=shift,

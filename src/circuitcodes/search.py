@@ -386,6 +386,20 @@ class _Kernel:
         Vertex i of the first half and vertex t+s of the second are
         t - |s-i| apart along the cycle; the second is walk[s] ^ walk[t].
         Needs the in-half pairs checked, as extension pruning does.
+
+        Given those, rows s = 1 and s = t-k never decide alone.  Row s
+        meets {s, i} for 1 <= i <= t-k, i != s, in row i too, {s, s} is
+        the in-half pair (0, t) and {s, 0} is (s, t); its own pair is
+        {s, t+1-k}.  For s = t-k that is |walk[t] ^ e_c|, the half-word
+        less its label c = word[t-k]: it fails only if |walk[t]| = k and
+        c is in walk[t].  The last k labels are distinct, and as a set
+        they are walk[t-k] ^ walk[t] != walk[t], also of size k; so
+        walk[t] holds a label x they lack, at some j < t-k.  Then
+        {j, j+1}, the half-word less x, fails in row j, or as the in-half
+        pair (1, t) if j = 0.  For s = 1 the own pair is the k-window
+        word[t+1-k:] + word[:1]: it fails only if word[0] recurs in
+        word[t+1-k:], and then {1, t-k} is k-1 apart, in row t-k, or as
+        the pair (0, t) if t = k+1.
         """
         walk = self.walk
         top = walk[t]

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .canon import _first_occurrence_relabel, leading_runs
+from .canon import _least_rotation, leading_runs
 from .core import (
     CodeParams,
     Segment,
@@ -25,7 +25,6 @@ from .core import (
     expand_vertices,
     format_sequence,
     prefix_masks,
-    segment_labels,
 )
 
 
@@ -249,6 +248,12 @@ def audit_delta_inequalities(
     and segments with k <= length <= N-k have odd-count >= k.  Returns
     the offending segments, empty when all hold.  Run against an invalid
     code this simply reports where the structure breaks down.
+
+    No segment is recounted.  Odd-count L means L distinct labels (each
+    odd count is at least 1), so the short offenders are the starts whose
+    leading run is below L.  In a closed word a segment (s, L) and its
+    complement ((s + L) mod N, N - L) have one odd-set, so lengths above
+    N/2 mirror their complement's offenders when it is at least k+2.
     """
     w = as_word(word, params.d)
     n = len(w)
@@ -259,22 +264,19 @@ def audit_delta_inequalities(
     if pm[-1] != 0:
         raise StructuralError("delta audit expects a closed sequence")
 
-    def seg_delta(start0: int, length: int) -> int:
-        # closed word: parity prefixes wrap cleanly modulo n
-        a = pm[start0 % n]
-        end = start0 + length
-        b = pm[end % n] if end >= n else pm[end]
-        return (a ^ b).bit_count()
-
     offenders: list[Segment] = []
-    for length in range(1, min(k + 1, n - 1) + 1):
-        for start0 in range(n):
-            if seg_delta(start0, length) != length:
-                offenders.append(Segment(start0 + 1, length))
+    runs = leading_runs(w)
+    for length in range(min(runs) + 1, min(k + 1, n - 1) + 1):
+        offenders += (Segment(s + 1, length) for s in range(n) if runs[s] < length)
+    wrapped = pm[:n] * 2
+    low: dict[int, list[int]] = {}
     for length in range(k + 2, n - k + 1):
-        for start0 in range(n):
-            if seg_delta(start0, length) < k:
-                offenders.append(Segment(start0 + 1, length))
+        if length <= n // 2 or n - length < k + 2:
+            ends = zip(pm, wrapped[length : length + n])
+            starts = low[length] = [s for s, (a, b) in enumerate(ends) if (a ^ b).bit_count() < k]
+        else:  # segment (s, L) is the complement of ((s + L) mod n, n - L)
+            starts = sorted((t - length) % n for t in low[n - length])
+        offenders += (Segment(s + 1, length) for s in starts)
     return tuple(offenders)
 
 
@@ -304,10 +306,12 @@ def normalize_to_bitrun_form(
     Applies to valid symmetric codes of length 4k+6 with k even and
     2d = 3k+4 that contain a bit run of length k+2.  Among all
     qualifying rotations the lexicographically smallest normalized word
-    is chosen.  The tail must satisfy: tail[i] > i+1 for every 0-based i,
-    and tail[j] avoids j+4..k+2 for 0-based j < k-1; a breach is an
-    internal-consistency failure because it cannot happen for a genuine
-    maximum symmetric code.
+    is chosen, the smallest shift winning ties; the word repeats after
+    n/2 shifts, so only shifts below n/2 are scanned.  The tail must
+    satisfy: tail[i] > i+1 for every 0-based i, and tail[j] avoids
+    j+4..k+2 for 0-based j < k-1; a breach is an internal-consistency
+    failure because it cannot happen for a genuine maximum symmetric
+    code.
     """
     d, k = params.d, params.k
     w = as_word(word, d)
@@ -324,21 +328,12 @@ def normalize_to_bitrun_form(
         raise InapplicableError("normal form needs a symmetric sequence")
     if check_spread(w, params) is not None:
         raise InapplicableError("normal form needs a valid circuit code")
-    if bit_runs(w).longest < k + 2:
+    # the largest leading run starts a maximal run: it is bit_runs' longest
+    runs = leading_runs(w)
+    if max(runs) < k + 2:
         raise InapplicableError(f"normal form needs a bit run of length {k + 2}")
 
-    best: tuple[Word, int, dict[int, int]] | None = None
-    runs = leading_runs(w)
-    for s in range(n):
-        if runs[s] < k + 2:
-            continue
-        cand, mapping = _first_occurrence_relabel(w[s:] + w[:s])
-        if best is None or cand < best[0]:
-            best = (cand, s, mapping)
-    if best is None:
-        raise InapplicableError(f"no rotation starts with a {k + 2}-run")
-
-    norm, shift, mapping = best
+    norm, shift, mapping = _least_rotation(w, [s for s in range(n // 2) if runs[s] >= k + 2])
     half = n // 2
     if norm[:half] != norm[half:]:
         raise InternalConsistencyError(

@@ -1,6 +1,6 @@
 import pytest
 
-from circuitcodes import CodeParams, SearchOptions, max_length, symmetric_max
+from circuitcodes import CodeParams, family_symmetric_max, max_length, symmetric_max
 
 
 @pytest.fixture(scope="session")
@@ -21,6 +21,16 @@ def rec_63():
 @pytest.fixture(scope="session")
 def rec_84_sym():
     return symmetric_max(CodeParams(8, 4))
+
+
+@pytest.fixture(scope="session")
+def rec_116_sym():
+    return symmetric_max(CodeParams(11, 6))
+
+
+@pytest.fixture(scope="session")
+def rec_843_fam():
+    return family_symmetric_max(CodeParams(8, 4), 3)
 
 
 def closed_words(d: int, max_len: int):

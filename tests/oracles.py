@@ -2,18 +2,30 @@
 
 They live outside the public API.  The test suite compares the pruned
 search (:func:`all_valid_codes`) against unpruned enumeration
-(:func:`enumerate_codes_bruteforce`) and the run-filtered canonical form
-against the full rotation scan (:func:`canonical_form_bruteforce`).
+(:func:`enumerate_codes_bruteforce`), the run-filtered canonical form
+against the full rotation scan (:func:`canonical_form_bruteforce`) and
+the bit-run normal form against its definition
+(:func:`normal_form_bruteforce`).  They share no relabeling code with
+the package.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from circuitcodes.canon import CanonicalForm, _first_occurrence_relabel
+from circuitcodes.canon import CanonicalForm
 from circuitcodes.core import CodeParams, Word, as_word
 from circuitcodes.search import IncompleteEnumerationError, SearchOptions, _run_search
-from circuitcodes.verify import brute_force_check
+from circuitcodes.verify import NormalizedForm, brute_force_check
+
+
+def _relabel(word: Word) -> tuple[Word, dict[int, int]]:
+    """First-occurrence relabeling: the first new label becomes 1, the next 2, ..."""
+    mapping: dict[int, int] = {}
+    for c in word:
+        if c not in mapping:
+            mapping[c] = len(mapping) + 1
+    return tuple(mapping[c] for c in word), mapping
 
 
 def canonical_form_bruteforce(
@@ -31,7 +43,7 @@ def canonical_form_bruteforce(
     best = None
     for base, reversed_flag in bases:
         for s in range(len(w)):
-            cand, mapping = _first_occurrence_relabel(base[s:] + base[:s])
+            cand, mapping = _relabel(base[s:] + base[:s])
             if best is None or cand < best.word:
                 best = CanonicalForm(
                     word=cand,
@@ -40,6 +52,32 @@ def canonical_form_bruteforce(
                     reversal_used=reversed_flag,
                 )
     return best
+
+
+def normal_form_bruteforce(word: Sequence[int], params: CodeParams) -> NormalizedForm:
+    """Bit-run normal form by definition, without its applicability and
+    tail checks: relabel every rotation whose first k+2 labels are
+    distinct and keep the least, the smallest shift winning ties.
+    """
+    w = as_word(word, params.d)
+    k = params.k
+    best = None
+    for s in range(len(w)):
+        rotation = w[s:] + w[:s]
+        if len(set(rotation[: k + 2])) < k + 2:
+            continue
+        cand, mapping = _relabel(rotation)
+        if best is None or cand < best[0]:
+            best = (cand, s, mapping)
+    norm, shift, mapping = best
+    return NormalizedForm(
+        word=norm,
+        head_run=norm[: k + 2],
+        link=norm[k + 2],
+        tail=norm[k + 3 : 2 * k + 3],
+        shift=shift,
+        relabeling=tuple(sorted(mapping.items())),
+    )
 
 
 def all_valid_codes(

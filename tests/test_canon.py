@@ -214,6 +214,21 @@ class TestAgainstRotationScan:
             for rev in (False, True):
                 assert canonical_form(word, rev) == canonical_form_bruteforce(word, rev)
 
+    @pytest.mark.parametrize("copies", [4, 5])
+    def test_words_of_period_a_quarter_or_a_fifth(self, copies):
+        # only shifts below the smallest period are scanned
+        rng = random.Random(83 + copies)
+        checked = 0
+        for _ in range(300):
+            base = tuple(rng.randint(1, 5) for _ in range(rng.randint(2, 8)))
+            word = base * copies
+            if any(base == base[p:] + base[:p] for p in range(1, len(base))):
+                continue
+            checked += 1
+            for rev in (False, True):
+                assert canonical_form(word, rev) == canonical_form_bruteforce(word, rev)
+        assert checked > 200
+
 
 class TestAreIsomorphic:
     def test_examples(self):

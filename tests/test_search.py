@@ -634,6 +634,41 @@ class TestSymmetricClosure:
                 outcomes.add((k, want))
         assert outcomes == {(k, want) for k in (1, 2, 3, 4, 5) for want in (True, False)}
 
+    @pytest.mark.parametrize("d,k", [(5, 2), (6, 3), (7, 3), (7, 4), (8, 4), (8, 5)])
+    def test_rows_one_and_t_minus_k_never_decide_alone(self, d, k):
+        # every walk whose in-half pairs pass, labels in first-occurrence
+        # order (a relabeling permutes the cube, the walk and fm alike): a
+        # loop that skips row s = 1 or row s = t-k decides as the full one
+        kern = search._Kernel(CodeParams(d, k), "symmetric", None, 1 << d, False)
+        kern.walk = walk = [0]
+        balls = {}
+        verdicts = []
+
+        def clear_without(t, fm, skip):
+            rows = (s for s in range(t - k, 0, -1) if s != skip)
+            return not any(fm >> (walk[s] ^ walk[t]) & 1 for s in rows)
+
+        def grow(used):
+            t = len(walk) - 1
+            if t > k:
+                fm = 0
+                for v in walk[: t + 2 - k]:
+                    if v not in balls:
+                        balls[v] = kern._new_ball(k - 1, v)
+                    fm |= balls[v]
+                got = kern._cross_half_clear(t, fm)
+                assert clear_without(t, fm, 1) == clear_without(t, fm, t - k) == got, walk
+                verdicts.append(got)
+            for c in range(1, min(used + 1, d) + 1):
+                v = walk[t] ^ (1 << (c - 1))
+                if all((v ^ walk[i]).bit_count() >= min(t + 1 - i, k) for i in range(t + 1)):
+                    walk.append(v)
+                    grow(max(used, c))
+                    walk.pop()
+
+        grow(0)
+        assert set(verdicts) == {True, False}
+
     @pytest.mark.parametrize("mode,l", [("symmetric", None), ("family", 3)])
     def test_full_verifier_gates_every_record(self, monkeypatch, mode, l):
         monkeypatch.setattr(search, "check_spread", lambda word, params: "rejected")

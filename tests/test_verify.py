@@ -6,7 +6,6 @@ import pytest
 from circuitcodes import (
     CodeParams,
     InapplicableError,
-    InternalConsistencyError,
     NotACircuitCodeError,
     Segment,
     StructuralError,
@@ -24,13 +23,26 @@ from circuitcodes import (
     is_symmetric,
     is_valid_code,
     normalize_to_bitrun_form,
-    rotate,
     segment_labels,
 )
 
 from conftest import closed_words
+from oracles import normal_form_bruteforce
 
 GRAY3 = (1, 2, 1, 3, 1, 2, 1, 3)
+
+
+def _variants(word, d, rng, relabelings=3):
+    """Every rotation of the word under seeded relabelings, read both ways."""
+    out = []
+    for s in range(len(word)):
+        rotation = tuple(word[s:]) + tuple(word[:s])
+        for _ in range(relabelings):
+            perm = list(range(1, d + 1))
+            rng.shuffle(perm)
+            relabeled = tuple(perm[c - 1] for c in rotation)
+            out += [relabeled, relabeled[::-1]]
+    return out
 
 
 class TestCheckSpread:
@@ -253,6 +265,35 @@ class TestDeltaAuditAgainstRecountOracle:
                         checked += 1
         assert checked > 500
 
+    def test_rotated_relabeled_and_transposed_witnesses(
+        self, rec_52, rec_63, rec_84_sym, rec_116_sym
+    ):
+        # k = 2, 3, 4, 6 and n >= 2k+5, so lengths above n/2 whose complement is
+        # at least k+2 exist and are mirrored rather than counted
+        rng = random.Random(83)
+        short = mirrored = 0
+        for rec, params in (
+            (rec_52, CodeParams(5, 2)),
+            (rec_63, CodeParams(6, 3)),
+            (rec_84_sym, CodeParams(8, 4)),
+            (rec_116_sym, CodeParams(11, 6)),
+        ):
+            n, k = rec.n, params.k
+            for w in rec.witnesses[:2]:
+                words = rng.sample(_variants(w, params.d, rng, relabelings=1), 6)
+                for x in words[:]:
+                    for _ in range(4):
+                        y = list(x)
+                        i, j = rng.sample(range(n), 2)
+                        y[i], y[j] = y[j], y[i]
+                        words.append(tuple(y))
+                for x in words:
+                    got = audit_delta_inequalities(x, params)
+                    assert got == self.oracle(x, params), (x, params)
+                    short += sum(1 for seg in got if seg.length <= k + 1)
+                    mirrored += sum(1 for seg in got if n / 2 < seg.length <= n - k - 2)
+        assert short and mirrored
+
 
 class TestInFamily:
     def test_max_symmetric_code_in_family_3(self, rec_84_sym):
@@ -391,6 +432,20 @@ class TestNormalize:
             assert label > i0 + 1
         for j0 in range(k - 1):
             assert not (j0 + 4 <= form.tail[j0] <= k + 2)
+
+    def test_matches_definition_on_rotations_relabelings_and_reversals(
+        self, rec_84_sym, rec_116_sym, rec_843_fam
+    ):
+        rng = random.Random(89)
+        for rec, params in (
+            (rec_84_sym, CodeParams(8, 4)),
+            (rec_116_sym, CodeParams(11, 6)),
+            (rec_843_fam, CodeParams(8, 4)),
+        ):
+            words = _variants(rec.witnesses[0], params.d, rng)
+            assert len(words) == 6 * rec.n
+            for x in words:
+                assert normalize_to_bitrun_form(x, params) == normal_form_bruteforce(x, params), x
 
     def test_wrong_length_inapplicable(self):
         with pytest.raises(InapplicableError):
