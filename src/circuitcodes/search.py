@@ -19,17 +19,22 @@ mode the doubled word always has N >= 2t, which removes the third term
 for pairs inside the half-word.
 
 In walk terms, a new vertex w at index j must keep cube distance at
-least a threshold from every earlier vertex walk[i].  Each depth j has
-one schedule of (i, threshold) pairs, built the first time the search
-reaches that depth: the threshold is min(j-i, k) in symmetric mode and
-min(j-i, k, i) in general mode, and i runs from j-2 down to j-k+1 but
-not below 0 (symmetric) or 1 (general); walk[j-1] is one flip away and
-always far enough.  The far pairs, j - i >= k, go through a ball mask: a
-bitmask over the 2^d vertices of everything within the threshold of some
-walk[i] with j - i >= k, grown by one ball per push.  A ball is built the
-first time its centre and radius are needed, by translating the cached
-origin ball by XOR with the centre (one shift-and-mask step per set bit
-of the centre), and kept for the rest of the traversal.
+least min(j-i, k) (symmetric mode) or min(j-i, k, i) (general mode)
+from every earlier walk[i], i >= lo = 0 (symmetric) or 1 (general).
+For j - i < k the distance is read off the word: walk[i] ^ w flips the
+labels word[i:j], so it reaches j - i exactly when they are distinct.
+Let near = max(lo, j+1-k), and fresh = near in symmetric mode and
+max(near, ceil(j/2)) in general mode.  From fresh on the threshold is
+j - i; the parent passed the same test one step earlier, so
+word[fresh:j-1] is distinct and the new label passes when it last
+occurred before fresh.  The general pairs near <= i < fresh need
+distance i: at most (k-1)/2 popcounts, only while j < 2k-2.  The far
+pairs, j - i >= k, go through a ball mask: a bitmask over the 2^d
+vertices of everything within the threshold of some walk[i] with
+j - i >= k, grown by one ball per push.  A ball is built the first time
+its centre and radius are needed, by translating the cached origin ball
+by XOR with the centre (one shift-and-mask step per set bit of the
+centre), and kept for the rest of the traversal.
 
 A symmetric half-word of length t closes as its doubled word, a cycle of
 length 2t whose vertex t+s is walk[t] ^ walk[s].  Two vertices in the
@@ -242,13 +247,11 @@ class SearchRecord:
         }
 
 
-class _Truncated(Exception):
+class _Stop(Exception):
+    """Ends a traversal early; ``reason`` is the stop reason it returns."""
+
     def __init__(self, reason: str) -> None:
         self.reason = reason
-
-
-class _TargetReached(Exception):
-    pass
 
 
 @functools.cache
@@ -339,7 +342,6 @@ class _Kernel:
         self.bit = [0] + [1 << (c - 1) for c in range(1, self.d + 1)]
         # rule (d) in general mode: the cover holding every label
         self.units = (1 << self.d) - 1
-        self.schedule: dict[int, tuple[tuple[int, int], ...]] = {}
         # rule (b) of the module docstring: general mode with a floor
         self.floor = floor
         self.even = _even_mask(self.d) if not self.symmetric and floor > 0 else None
@@ -354,7 +356,7 @@ class _Kernel:
         self.nodes = 0
         self.frontier: list[Word] = []
 
-    # -- balls, pair schedules and the cross-half test -----------------------
+    # -- balls and the cross-half test ---------------------------------------
 
     def _new_ball(self, radius: int, v: int) -> int:
         """Build and keep the ball of the radius around v: the origin ball
@@ -367,15 +369,6 @@ class _Kernel:
                 m = ((m & low[b]) << s) | ((m >> s) & low[b])
         self.balls[radius][v] = m
         return m
-
-    def _pairs(self, j: int) -> tuple[tuple[int, int], ...]:
-        """The (i, threshold) schedule for a new vertex at walk index j."""
-        k = self.k
-        last = max(self.lo, j - k + 1)
-        return tuple(
-            (i, min(j - i, k) if self.symmetric else min(j - i, k, i))
-            for i in range(j - 2, last - 1, -1)
-        )
 
     def _cross_half_clear(self, t: int, fm: int) -> bool:
         """Whether the cross-half pairs of the doubled walk of the half-word
@@ -460,7 +453,7 @@ class _Kernel:
         self.best = max(self.best, n)
         self.incumbent = max(self.incumbent, n)
         if self.target is not None and n >= self.target:
-            raise _TargetReached()
+            raise _Stop("target")
 
     def _close(self, n: int) -> None:
         """Verify the code of length n closed at this node and record it if
@@ -495,7 +488,7 @@ class _Kernel:
         """
         d, k, lo, symmetric = self.d, self.k, self.lo, self.symmetric
         word, walk, bit, balls = self.word, self.walk, self.bit, self.balls
-        schedule, frontier, close = self.schedule, self.frontier, self._close
+        frontier, close = self.frontier, self._close
         cross_clear, narrow, cover = self._cross_half_clear, self._narrow, self._cover
         units = self.units
         collect_all, stop_depth = self.collect_all, self.stop_depth
@@ -551,9 +544,12 @@ class _Kernel:
                             ev = (fm & even).bit_count()
                             parity_cut = 2 * (half - max(ev, taken - ev)) < need
                     if not parity_cut:
-                        pairs = schedule.get(t + 1)
-                        if pairs is None:
-                            pairs = schedule[t + 1] = self._pairs(t + 1)
+                        # pairs closer than k steps (module docstring):
+                        # walk[i], near <= i < t, needs distance i below
+                        # fresh; from fresh on, a label absent from
+                        # word[fresh:] meets them all
+                        near = t + 2 - k if t + 2 - k > lo else lo
+                        fresh = near if symmetric or near > t // 2 else t // 2 + 1
                         v = walk[t]
                         if symmetric or bounds[-1] != units:
                             labels = range(used + 1 if used < d else d, 0, -1)
@@ -566,16 +562,17 @@ class _Kernel:
                         cut = t - run_r if run_r else 0
                         closer = 0
                         for c in labels:
-                            if last[c] > cut:
+                            p = last[c]
+                            if p > cut:
                                 continue
                             w = v ^ bit[c]
                             if w == 0:
                                 closer = c
                                 continue
-                            if (fm >> w) & 1:
+                            if p >= fresh or (fm >> w) & 1:
                                 continue
-                            for i, thr in pairs:
-                                if (walk[i] ^ w).bit_count() < thr:
+                            for i in range(near, fresh):
+                                if (walk[i] ^ w).bit_count() < i:
                                     break
                             else:
                                 cands.append(c)
@@ -634,9 +631,9 @@ class _Kernel:
                     continue
                 nodes += 1
                 if budget is not None and nodes >= budget:
-                    raise _Truncated("nodes")
+                    raise _Stop("nodes")
                 if deadline is not None and nodes & 0xFF == 0 and time.monotonic() > deadline:
-                    raise _Truncated("time")
+                    raise _Stop("time")
                 n = 2 * t if symmetric else t
                 if (
                     n >= 4
@@ -646,10 +643,8 @@ class _Kernel:
                     close(n)
                 if stop_depth is not None and t >= stop_depth and walk[t]:
                     frontier.append(tuple(word))
-        except _Truncated as tr:
-            return tr.reason
-        except _TargetReached:
-            return "target"
+        except _Stop as stop:
+            return stop.reason
         finally:
             self.nodes = nodes
 

@@ -416,12 +416,73 @@ class TestSymmetricModeAgainstBruteForce:
         assert search_classes == brute_classes
 
 
+def _reference_levels(d, k, mode, depth):
+    """The kernel's tree by definition, one label at a time: for each
+    length 1..depth, below the word cap, its open words (lexicographic)
+    and its node count.
+
+    A word grows in first-occurrence order; label c at index t, last seen
+    at p >= 1, is rule (a)'s prune when R == 0 or t - p < R, R being the
+    word's leading run.  Every pair of the new walk vertex is checked by
+    definition.  A general word back at the origin is a leaf (counted,
+    never open), and a node is not expanded when rule (d) by definition
+    says none of its descendants closes: an empty tops list, scanned over
+    all 2^d vertices, or a unit cover holding every label.
+    """
+    symmetric = mode != "general"
+    level = [()]
+    out = []
+    for t in range(depth):
+        grown, nodes = [], 0
+        for word in level:
+            walk = _walk(word)
+            if symmetric and t > k:
+                free = [
+                    all((y ^ walk[i]).bit_count() >= k for i in range(t + 2 - k))
+                    for y in range(1 << d)
+                ]
+                if not any(
+                    free[x] and all(free[x ^ walk[s]] for s in range(1, t - k + 1))
+                    for x in range(1 << d)
+                ):
+                    continue
+            labels = range(1, min(max(word, default=0) + 1, d) + 1)
+            if not symmetric and all(
+                any(
+                    (walk[i] ^ (1 << b)).bit_count() < min(i, k)
+                    for i in range(1, t + 2 - k)
+                )
+                for b in range(d)
+            ):
+                # every unit vector is covered: only the closing step is left
+                labels = [c for c in labels if walk[t] == 1 << (c - 1)]
+            run = next((j for j in range(t) if word[j] in word[:j]), 0)
+            for c in labels:
+                p = max((i for i in range(t) if word[i] == c), default=-1)
+                if p >= 1 and (run == 0 or t - p < run):
+                    continue
+                w = walk[t] ^ (1 << (c - 1))
+                if not symmetric and w == 0:
+                    nodes += 1
+                    continue
+                if all(
+                    (walk[i] ^ w).bit_count()
+                    >= (min(t + 1 - i, k) if symmetric else min(t + 1 - i, k, i))
+                    for i in range(t + 1)
+                ):
+                    grown.append(word + (c,))
+        level = grown
+        out.append((grown, nodes + len(grown)))
+    return out
+
+
 _PATH_CASES = [
     (3, 1, "general", None, 8), (4, 2, "general", None, 16),
-    (5, 2, "general", None, 32), (4, 2, "symmetric", None, 16),
+    (5, 2, "general", None, 32), (6, 4, "general", None, 64),
+    (7, 5, "general", None, 128), (4, 2, "symmetric", None, 16),
     (6, 3, "symmetric", None, 64), (3, 1, "symmetric", None, 8),
     (4, 1, "symmetric", None, 16), (8, 4, "family", 3, 256),
-    # capped: the full (6,2) symmetric tree takes 20 s per path
+    # capped: the word cap, not 14, bounds the depths compared
     (6, 2, "symmetric", None, 24),
 ]
 
@@ -430,31 +491,24 @@ class TestKernelPaths:
     @pytest.mark.parametrize(
         "d,k,mode,l,max_word", _PATH_CASES, ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in _PATH_CASES]
     )
-    def test_table_and_loop_paths_identical(self, monkeypatch, d, k, mode, l, max_word):
-        # the reference kernel has no ball mask and checks every earlier
-        # vertex pair by pair; the real one must traverse the same tree
-        def traverse():
-            kern = search._Kernel(CodeParams(d, k), mode, l, max_word, False)
-            reason = kern.run()
-            built = sum(1 for row in kern.balls for ball in row if ball)
-            return (kern.best, sorted(kern.witnesses), kern.nodes, reason), built
+    def test_table_and_loop_paths_identical(self, d, k, mode, l, max_word):
+        # the kernel, which reads its near pairs off the last-occurrence
+        # table, and the reference, which loops over every pair, reach the
+        # same open words and nodes at every depth; the kernel clamps its
+        # split depth below the word cap
+        cap = max_word // 2 if mode != "general" else max_word
+        depth = min(14, cap - 1)
+        levels = _reference_levels(d, k, mode, depth)
+        nodes = 0
+        for level, (words, count) in enumerate(levels, 1):
+            kern = search._Kernel(CodeParams(d, k), mode, l, max_word, False, stop_depth=level)
+            assert kern.run() == "complete"
+            nodes += count
+            assert kern.frontier == words, level
+            assert kern.nodes == nodes, level
+        assert any(words for words, _ in levels)
 
-        real, built = traverse()
-        assert built > 0
-
-        def every_pair(kern, j):
-            return tuple(
-                (i, min(j - i, k) if kern.symmetric else min(j - i, k, i))
-                for i in range(j - 2, kern.lo - 1, -1)
-            )
-
-        monkeypatch.setattr(search._Kernel, "_new_ball", lambda kern, radius, v: 0)
-        monkeypatch.setattr(search._Kernel, "_pairs", every_pair)
-        reference, built = traverse()
-        assert built == 0
-        assert reference == real
-
-    def test_large_d_uses_loop_path(self):
+    def test_large_d_budget_stops_exactly(self):
         rec = max_length(CodeParams(14, 7), SearchOptions(node_budget=200))
         assert rec.nodes == 200
         assert not rec.exhaustive
