@@ -36,7 +36,9 @@ class CodeParams:
     k: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or not isinstance(self.k, int):
+        d, k = self.d, self.k
+        # bool is an int subclass, but True is no dimension or spread
+        if not isinstance(d, int) or not isinstance(k, int) or bool in (type(d), type(k)):
             raise ValueError("d and k must be integers")
         if not 2 <= self.d <= MAX_DIMENSION:
             raise ValueError(f"d must be in 2..{MAX_DIMENSION}, got {self.d}")

@@ -37,29 +37,12 @@ by XOR with the centre (one shift-and-mask step per set bit of the
 centre), and kept for the rest of the traversal.
 
 A symmetric half-word of length t closes as its doubled word, a cycle of
-length 2t whose vertex t+s is walk[t] ^ walk[s].  Two vertices in the
-same half are at most t apart along that cycle, so their requirement is
-min(j-i, k), which extension pruning has already enforced (the second
-half repeats the differences of the first).  Only the cross pairs are
-left: vertex i of the first half and vertex t+s of the second, with
-1 <= i, s <= t-1, are t - |s-i| apart, so the closure needs
-
-    (walk[i] ^ walk[s] ^ walk[t]).bit_count() >= min(t - |s-i|, k).
-
-A pair with s == i measures walk[t] at cycle distance t, as the
-in-half pair (0, t) does, so it needs no test of its own.  Most of the
-others are answered by the node's ball mask fm, the union of the
-radius-(k-1) balls around walk[i] for 0 <= i <= t+1-k: for s <= t-k and
-such an i, |s-i| <= t-k, so the pair needs distance k and fails exactly
-when bit walk[s] ^ walk[t] of fm is set.  The ball around walk[0] stands
-for the in-half pair (s, t), which extension pruning has passed, so the
-mask rejects nothing the pair test would keep.  As the test is symmetric
-in i and s, this covers every pair {i, s} with min <= t-k and
-max <= t+1-k.  The rest, i < s with s >= t+2-k, are left to the
-verifier.  s runs down from t-k, which rejects a failing half-word after
-about one bit test.  The test works on the raw walk and is a necessary
-condition only: a doubled word that passes it, and would be recorded,
-goes through the full verifier, which decides the remaining pairs.
+length 2t whose vertex t+s is walk[t] ^ walk[s].  The half-word is a
+descendant of length T = t of its parent, so by rule (d) its doubled
+word can be valid only if its top walk[t] is in the parent's tops list;
+a parent with no list yet (t <= k+1) lets every top through.  That is a
+necessary condition only: the wrap check of rule (a) and the full
+verifier decide every pair of a doubled word that passes it.
 
 Four more rules make the search a branch-and-bound search.
 
@@ -114,10 +97,11 @@ Four more rules make the search a branch-and-bound search.
     x ^ walk[s], is T + s - i >= k steps after centre i and T - s + i >= k
     steps before it around the cycle, so it lies outside fm as well.  The
     tops list holds the vertices x that pass both tests; when it is
-    empty, the node still takes its own closure test but gets no
-    children.  A child's list is a sublist of its parent's, so each push
-    narrows the parent's list (``_Kernel._narrow``), starting at t = k+1
-    from the vertices of weight >= k.
+    empty, the node gets no children, but its own closure is still
+    tested against its parent's list.  A child's list is a sublist of its
+    parent's, so each push narrows the parent's list
+    (``_Kernel._narrow``), starting at t = k+1 from the vertices of
+    weight >= k.
     In general mode, let a word of length t have a descendant code of
     length N >= t+2.  Its vertex N-1 is a unit vector e_c.  A centre
     i <= t+1-k of fm is min(N-1-i, i+1) steps from it around the cycle,
@@ -139,14 +123,13 @@ extended or handed to a task.  Each node is counted and checked against
 the node budget and the deadline at one site, right after its push, and
 one closure test follows.  Past the gate n >= 4 and (collect-all or
 n >= incumbent), a word back at the origin closes as itself, and a
-symmetric half-word closes as its doubled word when that passes the
-cross-half test with the node's own fm.  The per-depth state (the ball
-mask, the rule (d) bound and the last occurrence each push replaced)
-lives in lists that grow with the depth reached.  A task of a
-multi-worker run starts from a prefix found by the coordinator:
-``run(prefix)`` pushes the prefix labels along the same path, without
-counting, closing or checking them (the coordinator already did), and
-then explores every extension.
+symmetric half-word closes as its doubled word when its top is in its
+parent's tops list.  The per-depth state (the ball mask, the rule (d)
+bound and the last occurrence each push replaced) lives in lists that
+grow with the depth reached.  A task of a multi-worker run starts from
+a prefix found by the coordinator: ``run(prefix)`` pushes the prefix
+labels along the same path, without counting, closing or checking them
+(the coordinator already did), and then explores every extension.
 
 Everything a pruned partial word could ever become is invalid, or a
 non-canonical rotation, or shorter than a code already known; everything
@@ -159,6 +142,7 @@ from __future__ import annotations
 import functools
 import multiprocessing
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -205,7 +189,8 @@ class SearchOptions:
             raise ValueError("node-budgeted runs are single-worker")
         if self.node_budget is not None and self.node_budget < 1:
             raise ValueError("node budget must be >= 1")
-        if self.time_limit is not None and self.time_limit <= 0:
+        # a NaN limit would never expire: `not > 0` rejects it
+        if self.time_limit is not None and not self.time_limit > 0:
             raise ValueError("time limit must be positive")
         if self.max_length is not None and self.max_length < 0:
             raise ValueError("max length must be >= 0")
@@ -356,7 +341,7 @@ class _Kernel:
         self.nodes = 0
         self.frontier: list[Word] = []
 
-    # -- balls and the cross-half test ---------------------------------------
+    # -- balls ---------------------------------------------------------------
 
     def _new_ball(self, radius: int, v: int) -> int:
         """Build and keep the ball of the radius around v: the origin ball
@@ -369,40 +354,6 @@ class _Kernel:
                 m = ((m & low[b]) << s) | ((m >> s) & low[b])
         self.balls[radius][v] = m
         return m
-
-    def _cross_half_clear(self, t: int, fm: int) -> bool:
-        """Whether the cross-half pairs of the doubled walk of the half-word
-        of length t that the ball mask fm covers are far enough: every pair
-        {i, s} with min <= t-k and max <= t+1-k.  A necessary condition
-        only; the verifier decides the rest.
-
-        Vertex i of the first half and vertex t+s of the second are
-        t - |s-i| apart along the cycle; the second is walk[s] ^ walk[t].
-        Needs the in-half pairs checked, as extension pruning does.
-
-        Given those, rows s = 1 and s = t-k never decide alone.  Row s
-        meets {s, i} for 1 <= i <= t-k, i != s, in row i too, {s, s} is
-        the in-half pair (0, t) and {s, 0} is (s, t); its own pair is
-        {s, t+1-k}.  For s = t-k that is |walk[t] ^ e_c|, the half-word
-        less its label c = word[t-k]: it fails only if |walk[t]| = k and
-        c is in walk[t].  The last k labels are distinct, and as a set
-        they are walk[t-k] ^ walk[t] != walk[t], also of size k; so
-        walk[t] holds a label x they lack, at some j < t-k.  Then
-        {j, j+1}, the half-word less x, fails in row j, or as the in-half
-        pair (1, t) if j = 0.  For s = 1 the own pair is the k-window
-        word[t+1-k:] + word[:1]: it fails only if word[0] recurs in
-        word[t+1-k:], and then {1, t-k} is k-1 apart, in row t-k, or as
-        the pair (0, t) if t = k+1.
-        """
-        walk = self.walk
-        top = walk[t]
-        # s <= t-k against every walk[i] with i <= t+1-k: the pairs that
-        # need distance k, one bit of fm each; walk[0] stands for the
-        # in-half pair (s, t).  Descending s finds a failure soonest.
-        for s in range(t - self.k, 0, -1):
-            if fm >> (walk[s] ^ top) & 1:
-                return False
-        return True
 
     # -- closability (rule (d)) ----------------------------------------------
 
@@ -460,7 +411,7 @@ class _Kernel:
         it is a wanted code: the word itself, back at the origin, in general
         mode, the doubled half-word in symmetric mode.  run() calls it only
         past the gate n >= 4 and (collect-all or n >= incumbent), and in
-        symmetric mode only once the cross-half test has passed."""
+        symmetric mode only for a top in the parent's tops list."""
         # n is t in general mode and 2t in symmetric mode
         code = tuple(self.word) * (n // len(self.word))
         # rule (a) across the wrap: some rotation has a shorter run
@@ -488,8 +439,7 @@ class _Kernel:
         """
         d, k, lo, symmetric = self.d, self.k, self.lo, self.symmetric
         word, walk, bit, balls = self.word, self.walk, self.bit, self.balls
-        frontier, close = self.frontier, self._close
-        cross_clear, narrow, cover = self._cross_half_clear, self._narrow, self._cover
+        frontier, close, narrow, cover = self.frontier, self._close, self._narrow, self._cover
         units = self.units
         collect_all, stop_depth = self.collect_all, self.stop_depth
         word_cap = self.max_word // 2 if symmetric else self.max_word
@@ -635,12 +585,17 @@ class _Kernel:
                 if deadline is not None and nodes & 0xFF == 0 and time.monotonic() > deadline:
                     raise _Stop("time")
                 n = 2 * t if symmetric else t
-                if (
-                    n >= 4
-                    and (collect_all or n >= self.incumbent)
-                    and (cross_clear(t, fm) if symmetric else walk[t] == 0)
-                ):
-                    close(n)
+                if n >= 4 and (collect_all or n >= self.incumbent):
+                    if symmetric:
+                        # rule (d) at T = t: the top must be in the parent's
+                        # tops list, which is ascending (_heavy yields the
+                        # vertices in order and _narrow filters in order)
+                        tops, x = bounds[-2], walk[t]
+                        j = 0 if tops is None else bisect_left(tops, x)
+                        if tops is None or j < len(tops) and tops[j] == x:
+                            close(n)
+                    elif walk[t] == 0:
+                        close(n)
                 if stop_depth is not None and t >= stop_depth and walk[t]:
                     frontier.append(tuple(word))
         except _Stop as stop:
@@ -827,8 +782,8 @@ def symmetric_max(
     """Maximum length of a symmetric (d,k) circuit code.
 
     Searches half-words; a candidate closes as the doubled word, which is
-    put through the full verifier once the ball-mask test of its
-    cross-half pairs passes.
+    put through the full verifier when the half-word's top is in its
+    parent's rule (d) tops list.
     """
     return _search_record(params, "symmetric", None, options)
 

@@ -147,6 +147,8 @@ class TestSearch:
             ["search", "--d", "5", "--k", "2", "--threads", "2", "--node-budget", "100"],
             ["enumerate", "--d", "5", "--k", "2", "--out", "enumerate.jsonl"],
             ["enumerate", "--d", "5", "--k", "2", "--target", "14"],
+            # a NaN deadline never expires
+            ["search", "--d", "5", "--k", "2", "--time-limit", "nan"],
         ],
     )
     def test_invalid_flags_exit_1(self, capsys, argv):
@@ -366,6 +368,20 @@ class TestAudit:
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "audit", "--file", str(tmp_path / "absent.jsonl"))
         assert code == 1
+
+    def test_boolean_k_is_input_error(self, capsys, tmp_path):
+        f = tmp_path / "bool.jsonl"
+        self.write_records(
+            f,
+            [
+                {"d": 3, "k": 1, "transitions": [1, 2, 1, 3, 1, 2, 1, 3]},
+                {"d": 4, "k": True, "transitions": [1, 2, 1, 2]},
+            ],
+        )
+        code, out, err = run_cli(capsys, "audit", "--file", str(f))
+        assert code == 1
+        assert out == ""
+        assert "line 2" in err and "integers" in err
 
     def test_open_walk_is_input_error_before_any_report(self, capsys, tmp_path):
         f = tmp_path / "open.jsonl"

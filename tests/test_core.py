@@ -27,7 +27,8 @@ class TestParams:
         p = CodeParams(5, 2)
         assert (p.d, p.k) == (5, 2)
 
-    @pytest.mark.parametrize("d,k", [(1, 1), (65, 1), (4, 0), (4, -2)])
+    # bool is an int subclass, but True is not a spread
+    @pytest.mark.parametrize("d,k", [(1, 1), (65, 1), (4, 0), (4, -2), (4, True)])
     def test_invalid(self, d, k):
         with pytest.raises(ValueError):
             CodeParams(d, k)

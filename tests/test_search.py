@@ -1,4 +1,3 @@
-import itertools
 import json
 import random
 
@@ -188,6 +187,12 @@ class TestBudgets:
         rec = max_length(CodeParams(16, 9), SearchOptions(time_limit=0.2))
         assert not rec.exhaustive
         assert rec.stop_reason == "time"
+
+    @pytest.mark.parametrize("limit", [0, -1.0, float("nan")])
+    def test_time_limit_must_be_positive(self, limit):
+        # NaN compares false with every deadline, so it would never stop a run
+        with pytest.raises(ValueError, match="time limit must be positive"):
+            SearchOptions(time_limit=limit)
 
     def test_truncated_enumeration_raises(self):
         with pytest.raises(IncompleteEnumerationError):
@@ -562,166 +567,70 @@ def _walk(word):
     return walk
 
 
-def _in_half_by_definition(word, k):
-    """Every pair of the half-word's walk is min(j-i, k) apart, as
-    extension pruning keeps it in symmetric mode."""
-    walk = _walk(word)
-    return all(
-        (walk[i] ^ walk[j]).bit_count() >= min(j - i, k)
-        for j in range(len(walk))
-        for i in range(j)
-    )
-
-
-def _cross_half_by_definition(word, k, masked=False):
-    """Every pair of the doubled walk with one vertex strictly inside each
-    half meets the spread requirement.  With ``masked``, only the pairs
-    the ball mask covers: vertex a against vertex t+s with
-    min(a, s) <= t-k and max(a, s) <= t+1-k."""
-    walk = _walk(tuple(word) * 2)
-    t = len(word)
-    n = 2 * t
-    for a in range(1, t):
-        for b in range(t + 1, n):
-            if masked and not (min(a, b - t) <= t - k and max(a, b - t) <= t + 1 - k):
-                continue
-            cyc = min(b - a, n - (b - a))
-            if (walk[a] ^ walk[b]).bit_count() < min(cyc, k):
-                return False
-    return True
-
-
 class TestSymmetricClosure:
-    """The cross-half test never rejects a half-word whose doubled word the
-    full verifier accepts, and only the verifier records."""
+    """The closure gate, rule (d) at T = t, sends every reached half-word
+    whose doubled word the full verifier accepts on to ``_close``, and
+    only the verifier records."""
+
+    @staticmethod
+    def _closed(monkeypatch):
+        # the half-words that reach _close
+        real = search._Kernel._close
+        closed = set()
+
+        def recorded(kern, n):
+            closed.add(tuple(kern.word))
+            return real(kern, n)
+
+        monkeypatch.setattr(search._Kernel, "_close", recorded)
+        return closed
 
     @pytest.mark.parametrize(
         "d,k", [(4, 1), (4, 2), (5, 2), (6, 3), (7, 3), (7, 4), (8, 5)]
     )
     def test_sound_on_every_reached_half_word(self, monkeypatch, d, k):
-        real = search._Kernel._cross_half_clear
-        verdicts = []
-        valid = []
-
-        def checked(kern, t, fm):
-            assert t == len(kern.word)
-            got = real(kern, t, fm)
-            code = tuple(kern.word) * 2
-            if check_spread(code, kern.params) is None:
-                assert got, kern.word
-                valid.append(code)
-            verdicts.append(got)
-            return got
-
-        monkeypatch.setattr(search._Kernel, "_cross_half_clear", checked)
+        # the reached half-words by definition, up to the word cap; a
+        # collect-all kernel tests the closure of every one of length >= 2
+        closed = self._closed(monkeypatch)
         kern = search._Kernel(CodeParams(d, k), "symmetric", None, 1 << d, True)
         assert kern.run() == "complete"
-        # collect-all tests every half-word but the single one of length 1
-        assert len(verdicts) == kern.nodes - 1
+        levels = _reference_levels(d, k, "symmetric", 1 << (d - 1))
+        assert kern.nodes == sum(count for _, count in levels)
+        reached = {w for words, _ in levels[1:] for w in words}
+        valid = {w for w in reached if check_spread(w * 2, kern.params) is None}
+        assert valid <= closed < reached
         # by definition: the valid doubled words of minimal leading run
-        kept = [w for w in valid if min(leading_runs(w)) == leading_runs(w)[0]]
+        kept = [w * 2 for w in valid if min(leading_runs(w * 2)) == leading_runs(w * 2)[0]]
         assert sorted(kern.witnesses) == sorted(kept)
         assert kept
 
     @pytest.mark.parametrize("d,k,seed", [(8, 4, 1), (11, 6, 2), (14, 8, 3)])
     def test_sound_on_random_reached_half_words(self, monkeypatch, d, k, seed):
-        # random reached prefixes, each grown by a collect-all kernel that
-        # puts every half-word it reaches through the cross-half test; at
-        # d = 14 the subtrees below depth 13 hold too few valid half-words
+        # random reached prefixes, each grown by a collect-all kernel; every
+        # pushed half-word longer than k narrows its tops list once, so the
+        # narrowed words below a prefix are the half-words reached there
         rng = random.Random(seed)
         params = CodeParams(d, k)
         depth = min(d + 2, 13)
         coordinator = search._Kernel(params, "symmetric", None, 1 << d, False, stop_depth=depth)
         assert coordinator.run() == "complete"
-        real = search._Kernel._cross_half_clear
-        verdicts = set()
+        real = search._Kernel._narrow
+        pushed = []
 
-        def checked(kern, t, fm):
-            got = real(kern, t, fm)
-            if check_spread(tuple(kern.word) * 2, params) is None:
-                assert got, kern.word
-            verdicts.add(got)
-            return got
+        def narrow(kern, tops, t):
+            pushed.append(tuple(kern.word))
+            return real(kern, tops, t)
 
-        monkeypatch.setattr(search._Kernel, "_cross_half_clear", checked)
+        monkeypatch.setattr(search._Kernel, "_narrow", narrow)
+        closed = self._closed(monkeypatch)
         frontier = coordinator.frontier
         for prefix in rng.sample(frontier, min(20, len(frontier))):
             kern = search._Kernel(params, "symmetric", None, 1 << d, True, node_budget=2000)
-            kern.run(prefix)
-        assert verdicts == {True, False}
-
-    def test_cross_pairs_by_definition(self):
-        # words whose in-half pairs pass, as on every half-word the kernel
-        # reaches, with the ball mask the kernel keeps at that node
-        words = [w for t in range(2, 7) for w in itertools.product((1, 2, 3), repeat=t)]
-        rng = random.Random(3)
-        words += [tuple(rng.randint(1, 8) for _ in range(rng.randint(2, 20))) for _ in range(2000)]
-        # random walks that keep their in-half pairs at k = 3, long enough to
-        # use the mask at every k below
-        for _ in range(100):
-            grown = []
-            while len(grown) < 16:
-                options = [c for c in range(1, 9) if _in_half_by_definition((*grown, c), 3)]
-                if not options:
-                    break
-                grown.append(rng.choice(options))
-                words.append(tuple(grown))
-        outcomes = set()
-        for k in (1, 2, 3, 4, 5):
-            kern = search._Kernel(CodeParams(8, k), "symmetric", None, 256, False)
-            for w in words:
-                if not _in_half_by_definition(w, k):
-                    continue
-                t = len(w)
-                kern.walk = _walk(w)
-                fm = 0
-                for i in range(t + 2 - k):
-                    fm |= kern._new_ball(k - 1, kern.walk[i])
-                # pair {i, s} is covered by the mask when min <= t-k (the
-                # bit index walk[s] ^ walk[t]) and max <= t+1-k (a ball
-                # centre in fm); the verifier decides the others
-                want = _cross_half_by_definition(w, k, masked=True)
-                got = kern._cross_half_clear(t, fm)
-                assert got == want, (w, k)
-                if _cross_half_by_definition(w, k):
-                    assert got, (w, k)
-                outcomes.add((k, want))
-        assert outcomes == {(k, want) for k in (1, 2, 3, 4, 5) for want in (True, False)}
-
-    @pytest.mark.parametrize("d,k", [(5, 2), (6, 3), (7, 3), (7, 4), (8, 4), (8, 5)])
-    def test_rows_one_and_t_minus_k_never_decide_alone(self, d, k):
-        # every walk whose in-half pairs pass, labels in first-occurrence
-        # order (a relabeling permutes the cube, the walk and fm alike): a
-        # loop that skips row s = 1 or row s = t-k decides as the full one
-        kern = search._Kernel(CodeParams(d, k), "symmetric", None, 1 << d, False)
-        kern.walk = walk = [0]
-        balls = {}
-        verdicts = []
-
-        def clear_without(t, fm, skip):
-            rows = (s for s in range(t - k, 0, -1) if s != skip)
-            return not any(fm >> (walk[s] ^ walk[t]) & 1 for s in rows)
-
-        def grow(used):
-            t = len(walk) - 1
-            if t > k:
-                fm = 0
-                for v in walk[: t + 2 - k]:
-                    if v not in balls:
-                        balls[v] = kern._new_ball(k - 1, v)
-                    fm |= balls[v]
-                got = kern._cross_half_clear(t, fm)
-                assert clear_without(t, fm, 1) == clear_without(t, fm, t - k) == got, walk
-                verdicts.append(got)
-            for c in range(1, min(used + 1, d) + 1):
-                v = walk[t] ^ (1 << (c - 1))
-                if all((v ^ walk[i]).bit_count() >= min(t + 1 - i, k) for i in range(t + 1)):
-                    walk.append(v)
-                    grow(max(used, c))
-                    walk.pop()
-
-        grow(0)
-        assert set(verdicts) == {True, False}
+            if kern.run(prefix) == "nodes":
+                pushed.pop()  # the node that spends the budget is not closed
+        reached = {w for w in pushed if len(w) > depth}
+        assert all(check_spread(w * 2, params) is not None for w in reached - closed)
+        assert set() < closed < reached
 
     @pytest.mark.parametrize("mode,l", [("symmetric", None), ("family", 3)])
     def test_full_verifier_gates_every_record(self, monkeypatch, mode, l):
