@@ -14,6 +14,11 @@ function of the outcome category:
     141  stdout was closed early, e.g. by ``| head -1`` (128 + SIGPIPE,
          what a shell reports for a tool stopped by SIGPIPE)
 
+``main`` is the one place that decides them.  A subcommand returns the
+code of an outcome it reports itself (a violation, a truncated search,
+a failed audit) or raises; ``main`` maps the raised error to its code
+and prints it as ``<subcommand>: <message>``.
+
 Search results serialize as one JSON object per line, which ``audit``
 reads back one witness at a time.  When the searched
 (d, k, mode) falls inside a family with a published exact value, the
@@ -56,7 +61,6 @@ from .tables import lookup
 from .verify import (
     InapplicableError,
     InternalConsistencyError,
-    StructuralError,
     audit_delta_inequalities,
     bit_runs,
     check_spread,
@@ -77,6 +81,12 @@ def _err(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _report(args, exc: Exception, code: int) -> int:
+    """Print a raised outcome as ``<subcommand>: <message>``; returns code."""
+    _err(f"{args.command}: {exc}")
+    return code
+
+
 def _read_sequence(args) -> Word:
     if args.seq is not None:
         text = args.seq
@@ -87,17 +97,9 @@ def _read_sequence(args) -> Word:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        params = CodeParams(args.d, args.k)
-        word = _read_sequence(args)
-    except (MalformedSequenceError, ValueError, OSError) as exc:
-        _err(f"verify: {exc}")
-        return EXIT_INPUT
-    try:
-        report = check_spread(word, params)
-    except StructuralError as exc:
-        _err(f"verify: {exc}")
-        return EXIT_INPUT
+    params = CodeParams(args.d, args.k)
+    word = _read_sequence(args)
+    report = check_spread(word, params)
     if report is not None:
         print(report.to_line())
         return EXIT_VIOLATION
@@ -136,14 +138,7 @@ def _mode_of(args) -> tuple[str, int | None]:
 
 
 def _cmd_search(args) -> int:
-    try:
-        record = _run_search_command(args)
-    except ValueError as exc:
-        _err(f"search: {exc}")
-        return EXIT_INPUT
-    except InternalConsistencyError as exc:
-        _err(f"search: {exc}")
-        return EXIT_INCONSISTENT
+    record = _run_search_command(args)
     line = json.dumps(record.to_json_obj(), separators=(",", ":"))
     print(line)
     if args.out:
@@ -151,8 +146,7 @@ def _cmd_search(args) -> int:
             with open(args.out, "a", encoding="utf-8") as fh:
                 fh.write(line + "\n")
         except OSError as exc:
-            _err(f"search: cannot append to {args.out}: {exc}")
-            return EXIT_INPUT
+            raise OSError(f"cannot append to {args.out}: {exc}") from exc
     if record.exhaustive:
         known = lookup(record.params, record.mode, record.l)
         if known is not None:
@@ -182,31 +176,16 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    try:
-        params = CodeParams(args.d, args.k)
-        options = _search_options(args)
-        mode, l = _mode_of(args)
-        classes = enumerate_max(params, options, mode=mode, l=l)
-    except IncompleteEnumerationError as exc:
-        _err(f"enumerate: {exc}")
-        return EXIT_TRUNCATED
-    except ValueError as exc:
-        _err(f"enumerate: {exc}")
-        return EXIT_INPUT
-    except InternalConsistencyError as exc:
-        _err(f"enumerate: {exc}")
-        return EXIT_INCONSISTENT
+    params = CodeParams(args.d, args.k)
+    mode, l = _mode_of(args)
+    classes = enumerate_max(params, _search_options(args), mode=mode, l=l)
     for cls in classes:
         print(f"{format_sequence(cls.representative.word)} {cls.count}")
     return EXIT_OK
 
 
 def _cmd_canon(args) -> int:
-    try:
-        word = parse_sequence(args.seq, args.d)
-    except MalformedSequenceError as exc:
-        _err(f"canon: {exc}")
-        return EXIT_INPUT
+    word = parse_sequence(args.seq, args.d)
     form = canonical_form(word, include_reversal=args.with_reversal)
     print(f"canonical: {format_sequence(form.word)}")
     print(f"shift: {form.shift}")
@@ -298,20 +277,15 @@ def _audit_words(line: str, d: int | None, k: int | None) -> tuple[CodeParams, l
 
 def _cmd_audit(args) -> int:
     records: list[tuple[CodeParams, Word]] = []
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, ValueError) as exc:
-        _err(f"audit: {exc}")
-        return EXIT_INPUT
+    with open(args.file, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             params, words = _audit_words(line, args.d, args.k)
         except ValueError as exc:
-            _err(f"audit: line {lineno}: {exc}")
-            return EXIT_INPUT
+            raise ValueError(f"line {lineno}: {exc}") from exc
         records += ((params, word) for word in words)
     results = [_audit_one(idx, *record) for idx, record in enumerate(records, start=1)]
     return EXIT_OK if all(results) else EXIT_INCONSISTENT
@@ -382,7 +356,17 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; fold into the input-error code
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
-        code = args.func(args)
+        # the exit-code table of raised outcomes
+        try:
+            code = args.func(args)
+        except BrokenPipeError:
+            raise  # an OSError, but not an input error: see below
+        except IncompleteEnumerationError as exc:
+            code = _report(args, exc, EXIT_TRUNCATED)
+        except InternalConsistencyError as exc:
+            code = _report(args, exc, EXIT_INCONSISTENT)
+        except (ValueError, OSError) as exc:
+            code = _report(args, exc, EXIT_INPUT)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -77,15 +77,15 @@ Four more rules make the search a branch-and-bound search.
     length and is not expanded.
 (c) A static floor.  Every symmetric code is a general code, so the
     symmetric maximum is a lower bound on K(d,k).  A general run that
-    can claim a maximum (not collect-all, length cap 2^d) first runs the
-    symmetric search in-process on the same node budget, deadline and
-    target; a target the seed meets ends the run there, as its codes are
-    general codes.  Its length seeds the incumbent, so shorter closures
-    are not verified, and it is the floor of rule (b).  The floor is
-    fixed for the run.  Each task of a multi-worker run starts its
-    incumbent from the floor or the coordinator's best and raises it only
-    on its own codes; that incumbent never feeds rule (b), so witnesses
-    and node totals do not depend on the number of workers.
+    can claim a maximum (length cap 2^d) first runs the symmetric search
+    in-process on the same node budget, deadline and target; a target the
+    seed meets ends the run there, as its codes are general codes.  Its
+    length seeds the incumbent, so shorter closures are not verified, and
+    it is the floor of rule (b).  The floor is fixed for the run.  Each
+    task of a multi-worker run starts its incumbent from the floor or the
+    coordinator's best and raises it only on its own codes; that incumbent
+    never feeds rule (b), so witnesses and node totals do not depend on
+    the number of workers.
 (d) Closability, in every mode: a node is not expanded when none of its
     descendants can close.  Both bounds read only the node's own walk,
     never the incumbent or the 2^d-bit mask, and cost O(t) popcounts per
@@ -121,15 +121,15 @@ takes the walk back to the origin, is pushed like any other child, as a
 leaf: it is explored before its siblings, and a closed word is never
 extended or handed to a task.  Each node is counted and checked against
 the node budget and the deadline at one site, right after its push, and
-one closure test follows.  Past the gate n >= 4 and (collect-all or
-n >= incumbent), a word back at the origin closes as itself, and a
-symmetric half-word closes as its doubled word when its top is in its
-parent's tops list.  The per-depth state (the ball mask, the rule (d)
-bound and the last occurrence each push replaced) lives in lists that
-grow with the depth reached.  A task of a multi-worker run starts from
-a prefix found by the coordinator: ``run(prefix)`` pushes the prefix
-labels along the same path, without counting, closing or checking them
-(the coordinator already did), and then explores every extension.
+one closure test follows.  Past the gate n >= 4 and n >= incumbent, a
+word back at the origin closes as itself, and a symmetric half-word
+closes as its doubled word when its top is in its parent's tops list.
+The per-depth state (the ball mask, the rule (d) bound and the last
+occurrence each push replaced) lives in lists that grow with the depth
+reached.  A task of a multi-worker run starts from a prefix found by the
+coordinator: ``run(prefix)`` pushes the prefix labels along the same
+path, without counting, closing or checking them (the coordinator
+already did), and then explores every extension.
 
 Everything a pruned partial word could ever become is invalid, or a
 non-canonical rotation, or shorter than a code already known; everything
@@ -292,7 +292,6 @@ class _Kernel:
         mode: str,
         l_req: int | None,
         max_word: int,
-        collect_all: bool,
         floor: int = 0,
         target: int | None = None,
         deadline: float | None = None,
@@ -309,7 +308,6 @@ class _Kernel:
         self.lo = 0 if self.symmetric else 1
         self.l_req = l_req
         self.max_word = max_word
-        self.collect_all = collect_all
         self.target = target
         self.deadline = deadline
         self.node_budget = node_budget
@@ -396,13 +394,12 @@ class _Kernel:
     # -- closing a code ------------------------------------------------------
 
     def _record(self, code: Word) -> None:
-        # past the gate of run(), n >= incumbent >= best unless collect-all
+        # past the gate of run(), n >= incumbent >= best
         n = len(code)
-        if n > self.best and not self.collect_all:
-            self.witnesses = []
+        if n > self.best:
+            self.best, self.witnesses = n, []
         self.witnesses.append(code)
-        self.best = max(self.best, n)
-        self.incumbent = max(self.incumbent, n)
+        self.incumbent = n
         if self.target is not None and n >= self.target:
             raise _Stop("target")
 
@@ -410,8 +407,8 @@ class _Kernel:
         """Verify the code of length n closed at this node and record it if
         it is a wanted code: the word itself, back at the origin, in general
         mode, the doubled half-word in symmetric mode.  run() calls it only
-        past the gate n >= 4 and (collect-all or n >= incumbent), and in
-        symmetric mode only for a top in the parent's tops list."""
+        past the gate n >= 4 and n >= incumbent, and in symmetric mode only
+        for a top in the parent's tops list."""
         # n is t in general mode and 2t in symmetric mode
         code = tuple(self.word) * (n // len(self.word))
         # rule (a) across the wrap: some rotation has a shorter run
@@ -441,7 +438,7 @@ class _Kernel:
         word, walk, bit, balls = self.word, self.walk, self.bit, self.balls
         frontier, close, narrow, cover = self.frontier, self._close, self._narrow, self._cover
         units = self.units
-        collect_all, stop_depth = self.collect_all, self.stop_depth
+        stop_depth = self.stop_depth
         word_cap = self.max_word // 2 if symmetric else self.max_word
         if stop_depth is not None:
             # split above the last level, where every node is a leaf
@@ -585,7 +582,7 @@ class _Kernel:
                 if deadline is not None and nodes & 0xFF == 0 and time.monotonic() > deadline:
                     raise _Stop("time")
                 n = 2 * t if symmetric else t
-                if n >= 4 and (collect_all or n >= self.incumbent):
+                if n >= 4 and n >= self.incumbent:
                     if symmetric:
                         # rule (d) at T = t: the top must be in the parent's
                         # tops list, which is ascending (_heavy yields the
@@ -668,12 +665,7 @@ def _run_tree(job: dict, workers: int) -> _RunResult:
     results += done
 
     best = max(r.best for r in results)
-    raws = [
-        w
-        for r in results
-        for w in r.raw_witnesses
-        if job["collect_all"] or len(w) == best
-    ]
+    raws = [w for r in results for w in r.raw_witnesses if len(w) == best]
     reasons = {r.stop_reason for r in results}
     stop = next((r for r in ("time", "nodes", "target") if r in reasons), "complete")
     return _RunResult(best, raws, sum(r.nodes for r in results), stop)
@@ -685,13 +677,9 @@ def _symmetric_floor(job: dict) -> _RunResult:
 
 
 def _run_search(
-    params: CodeParams,
-    mode: str,
-    l_req: int | None,
-    options: SearchOptions,
-    collect_all: bool = False,
+    params: CodeParams, mode: str, l_req: int | None, options: SearchOptions
 ) -> _RunResult:
-    """Run one search; ``collect_all`` keeps every valid code (test oracle).
+    """Run one search.
 
     A general run that may claim a maximum first searches the symmetric
     maximum (rule (c)); that seed shares the node budget, the deadline and
@@ -716,12 +704,11 @@ def _run_search(
         time.monotonic() + options.time_limit if options.time_limit is not None else None
     )
     job = dict(
-        params=params, mode=mode, l_req=l_req, max_word=max_word,
-        collect_all=collect_all, floor=0, target=options.target, deadline=deadline,
-        node_budget=options.node_budget,
+        params=params, mode=mode, l_req=l_req, max_word=max_word, floor=0,
+        target=options.target, deadline=deadline, node_budget=options.node_budget,
     )
     seed = None
-    if mode == "general" and not collect_all and max_word == full:
+    if mode == "general" and max_word == full:
         seed = _symmetric_floor(job)
         if seed.stop_reason != "complete":
             return seed  # its codes are general codes too, but nothing is proved

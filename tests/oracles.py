@@ -7,6 +7,11 @@ against the full rotation scan (:func:`canonical_form_bruteforce`) and
 the bit-run normal form against its definition
 (:func:`normal_form_bruteforce`).  They share no relabeling code with
 the package.
+
+:class:`RecordingKernel` is the search kernel with one change: it
+records every valid code it closes, at any length, where the product
+kernel keeps only the longest.  It never raises its incumbent, so the
+closure gate lets every code of length >= 4 through.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Sequence
 
 from circuitcodes.canon import CanonicalForm
 from circuitcodes.core import CodeParams, Word, as_word
-from circuitcodes.search import IncompleteEnumerationError, SearchOptions, _run_search
+from circuitcodes.search import _Kernel
 from circuitcodes.verify import NormalizedForm, brute_force_check
 
 
@@ -80,21 +85,27 @@ def normal_form_bruteforce(word: Sequence[int], params: CodeParams) -> Normalize
     )
 
 
+class RecordingKernel(_Kernel):
+    """A search kernel that keeps every code it closes, of any length."""
+
+    def _record(self, code: Word) -> None:
+        self.witnesses.append(code)
+
+
 def all_valid_codes(
     params: CodeParams,
     max_length_bound: int,
     mode: str = "general",
+    l: int | None = None,
 ) -> list[Word]:
     """Every valid code in the symmetry-broken space, any length.
 
     Testing aid for completeness comparisons against unpruned
     enumeration; output is sorted by (length, word).
     """
-    options = SearchOptions(max_length=max_length_bound)
-    result = _run_search(params, mode, None, options, collect_all=True)
-    if result.stop_reason not in ("complete", "length"):
-        raise IncompleteEnumerationError("collect-all run did not finish")
-    return sorted(result.raw_witnesses, key=lambda w: (len(w), w))
+    kernel = RecordingKernel(params, mode, l, min(max_length_bound, 1 << params.d))
+    assert kernel.run() == "complete"
+    return sorted(kernel.witnesses, key=lambda w: (len(w), w))
 
 
 def enumerate_codes_bruteforce(params: CodeParams, max_length_bound: int) -> list[Word]:

@@ -9,6 +9,7 @@ import pytest
 from circuitcodes import cli
 from circuitcodes.cli import main
 from circuitcodes.tables import KnownValue
+from circuitcodes.verify import InternalConsistencyError
 
 
 def run_cli(capsys, *argv):
@@ -149,6 +150,8 @@ class TestSearch:
             ["enumerate", "--d", "5", "--k", "2", "--target", "14"],
             # a NaN deadline never expires
             ["search", "--d", "5", "--k", "2", "--time-limit", "nan"],
+            ["search", "--d", "5", "--k", "2", "--node-budget", "0"],
+            ["search", "--d", "5", "--k", "2", "--max-length", "-1"],
         ],
     )
     def test_invalid_flags_exit_1(self, capsys, argv):
@@ -161,6 +164,17 @@ class TestSearch:
         code, _, err = run_cli(capsys, "search", "--d", "5", "--k", "2", "--threads", "0", *extra)
         assert code == 1
         assert "workers must be >= 1" in err
+
+    def test_out_into_missing_directory_exits_1(self, capsys, tmp_path):
+        # the record still reaches stdout; no verdict follows the failed append
+        path = tmp_path / "missing" / "runs.jsonl"
+        code, out, err = run_cli(capsys, "search", "--d", "3", "--k", "1", "--out", str(path))
+        assert code == 1
+        assert len(out.splitlines()) == 1 and json.loads(out)["n"] == 8
+        assert err == (
+            f"search: cannot append to {path}: "
+            f"[Errno 2] No such file or directory: '{path}'\n"
+        )
 
     def test_max_length_flag_bounds_the_search(self, capsys):
         # a capped run is not a proof: exit 3 and no table verdict
@@ -253,6 +267,16 @@ class TestEnumerate:
         assert code == 0
         assert len(out.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("mode", [["--symmetric"], ["--family-l", "3"]])
+    def test_symmetric_and_family_8_4(self, capsys, mode):
+        code, out, err = run_cli(capsys, "enumerate", "--d", "8", "--k", "4", *mode)
+        assert (code, err) == (0, "")
+        assert out == "1,2,3,4,5,1,6,2,7,4,8,1,2,3,4,5,1,6,2,7,4,8 3\n"
+
+    def test_zero_workers_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "--d", "5", "--k", "2", "--threads", "0")
+        assert (code, out, err) == (1, "", "enumerate: workers must be >= 1\n")
+
     def test_truncated_prints_nothing(self, capsys):
         code, out, err = run_cli(
             capsys, "enumerate", "--d", "16", "--k", "9", "--node-budget", "300"
@@ -287,6 +311,8 @@ class TestCanon:
 
 
 class TestAudit:
+    CUBE_3_1 = '{"d": 3, "k": 1, "transitions": [1, 2, 1, 3, 1, 2, 1, 3]}'
+
     @staticmethod
     def write_records(path, records):
         path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
@@ -368,6 +394,55 @@ class TestAudit:
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "audit", "--file", str(tmp_path / "absent.jsonl"))
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("[1, 2, 1, 2]", "record is not a JSON object"),
+            ('{"d": 3, "k": 1, "witnesses": 5}', "record needs a list of transitions or of witnesses"),
+        ],
+        ids=["array", "witnesses-5"],
+    )
+    def test_non_record_line_is_input_error(self, capsys, tmp_path, line, message):
+        f = tmp_path / "bad.jsonl"
+        f.write_text(self.CUBE_3_1 + "\n\n" + line + "\n")
+        code, out, err = run_cli(capsys, "audit", "--file", str(f))
+        assert (code, out, err) == (1, "", f"audit: line 3: {message}\n")
+
+    def test_blank_lines_are_skipped(self, capsys, tmp_path):
+        f = tmp_path / "gaps.jsonl"
+        f.write_text("\n" + self.CUBE_3_1 + "\n   \n\n" + self.CUBE_3_1 + "\n")
+        code, out, err = run_cli(capsys, "audit", "--file", str(f))
+        assert (code, err) == (0, "")
+        assert "record 2: window_bitrun ok" in out and "record 3:" not in out
+
+    def test_short_record_skips_every_audit(self, capsys, tmp_path):
+        # n = 4 <= 2k: no audit applies, and a run of skips passes
+        f = tmp_path / "square.jsonl"
+        self.write_records(f, [{"d": 3, "k": 2, "transitions": [1, 2, 1, 2]}])
+        code, out, err = run_cli(capsys, "audit", "--file", str(f))
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "record 1: d=3 k=2 n=4 symmetric=yes longest_bit_run=2",
+            "record 1: delta_inequalities skipped (delta audit needs length > 4, got 4)",
+            "record 1: window_bitrun skipped (window property needs length > 6, got 4)",
+            "record 1: bitrun_normal_form skipped (normal form needs 2d = 3k+4, got d=3, k=2)",
+        ]
+
+    def test_normal_form_inconsistency_fails_with_exit_4(self, capsys, tmp_path, monkeypatch):
+        def broken(word, params):
+            raise InternalConsistencyError("normal form lost its head run")
+
+        monkeypatch.setattr(cli, "normalize_to_bitrun_form", broken)
+        f = tmp_path / "s84.jsonl"
+        self.write_records(
+            f, [{"d": 8, "k": 4, "transitions": [1, 2, 3, 4, 5, 1, 6, 2, 7, 4, 8] * 2}]
+        )
+        code, out, err = run_cli(capsys, "audit", "--file", str(f))
+        assert (code, err) == (4, "")
+        assert "record 1: delta_inequalities ok" in out
+        assert "record 1: window_bitrun ok" in out
+        assert "record 1: bitrun_normal_form FAIL (normal form lost its head run)" in out
 
     def test_boolean_k_is_input_error(self, capsys, tmp_path):
         f = tmp_path / "bool.jsonl"

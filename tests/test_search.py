@@ -19,7 +19,7 @@ from circuitcodes import (
 )
 from circuitcodes import search
 from circuitcodes.canon import leading_runs
-from oracles import all_valid_codes, enumerate_codes_bruteforce
+from oracles import RecordingKernel, all_valid_codes, enumerate_codes_bruteforce
 
 
 class TestSmallMaxima:
@@ -205,7 +205,6 @@ class TestBudgets:
         monkeypatch.setattr(search, "_symmetric_floor", no_seed)
         rec = max_length(CodeParams(5, 2), SearchOptions(max_length=30))
         assert rec.n == 14 and rec.stop_reason == "length"
-        assert all_valid_codes(CodeParams(4, 2), 16)
 
     def test_seed_at_every_d(self, monkeypatch):
         # the ball mask exists at every d, so a d = 16 run is seeded as well
@@ -396,11 +395,8 @@ class TestRotationRepresentatives:
     def test_symmetric_survivors_are_the_minimal_run_rotations(self, d, k, mode, l, bound):
         # every class of every length: the doubled words that survive the
         # wrap check are exactly the minimal-run rotations of each class
-        result = search._run_search(
-            CodeParams(d, k), mode, l, SearchOptions(max_length=bound), collect_all=True
-        )
-        assert result.stop_reason == "complete"
-        self._assert_minimal_run_survivors(result.raw_witnesses, (d, k, mode))
+        raw = all_valid_codes(CodeParams(d, k), bound, mode=mode, l=l)
+        self._assert_minimal_run_survivors(raw, (d, k, mode))
 
 
 class TestSymmetricModeAgainstBruteForce:
@@ -506,7 +502,7 @@ class TestKernelPaths:
         levels = _reference_levels(d, k, mode, depth)
         nodes = 0
         for level, (words, count) in enumerate(levels, 1):
-            kern = search._Kernel(CodeParams(d, k), mode, l, max_word, False, stop_depth=level)
+            kern = search._Kernel(CodeParams(d, k), mode, l, max_word, stop_depth=level)
             assert kern.run() == "complete"
             nodes += count
             assert kern.frontier == words, level
@@ -590,9 +586,9 @@ class TestSymmetricClosure:
     )
     def test_sound_on_every_reached_half_word(self, monkeypatch, d, k):
         # the reached half-words by definition, up to the word cap; a
-        # collect-all kernel tests the closure of every one of length >= 2
+        # recording kernel tests the closure of every one of length >= 2
         closed = self._closed(monkeypatch)
-        kern = search._Kernel(CodeParams(d, k), "symmetric", None, 1 << d, True)
+        kern = RecordingKernel(CodeParams(d, k), "symmetric", None, 1 << d)
         assert kern.run() == "complete"
         levels = _reference_levels(d, k, "symmetric", 1 << (d - 1))
         assert kern.nodes == sum(count for _, count in levels)
@@ -606,13 +602,13 @@ class TestSymmetricClosure:
 
     @pytest.mark.parametrize("d,k,seed", [(8, 4, 1), (11, 6, 2), (14, 8, 3)])
     def test_sound_on_random_reached_half_words(self, monkeypatch, d, k, seed):
-        # random reached prefixes, each grown by a collect-all kernel; every
+        # random reached prefixes, each grown by a recording kernel; every
         # pushed half-word longer than k narrows its tops list once, so the
         # narrowed words below a prefix are the half-words reached there
         rng = random.Random(seed)
         params = CodeParams(d, k)
         depth = min(d + 2, 13)
-        coordinator = search._Kernel(params, "symmetric", None, 1 << d, False, stop_depth=depth)
+        coordinator = search._Kernel(params, "symmetric", None, 1 << d, stop_depth=depth)
         assert coordinator.run() == "complete"
         real = search._Kernel._narrow
         pushed = []
@@ -625,7 +621,7 @@ class TestSymmetricClosure:
         closed = self._closed(monkeypatch)
         frontier = coordinator.frontier
         for prefix in rng.sample(frontier, min(20, len(frontier))):
-            kern = search._Kernel(params, "symmetric", None, 1 << d, True, node_budget=2000)
+            kern = RecordingKernel(params, "symmetric", None, 1 << d, node_budget=2000)
             if kern.run(prefix) == "nodes":
                 pushed.pop()  # the node that spends the budget is not closed
         reached = {w for w in pushed if len(w) > depth}
@@ -676,7 +672,7 @@ class TestClosability:
             return got
 
         monkeypatch.setattr(search._Kernel, "_narrow", checked)
-        kern = search._Kernel(CodeParams(d, k), mode, l, 1 << d, False)
+        kern = search._Kernel(CodeParams(d, k), mode, l, 1 << d)
         assert kern.run() == "complete"
         # every node deeper than k narrows its list once; above it, spread
         # k allows only the word 1, 2, ..., t
@@ -782,11 +778,11 @@ class TestStaticFloor:
     def test_parity_bound_at_every_d(self):
         # on in general mode with a floor, at every d; off in symmetric mode
         for d, k in ((6, 3), (14, 8)):
-            kern = search._Kernel(CodeParams(d, k), "general", None, 1 << d, False, floor=16)
+            kern = search._Kernel(CodeParams(d, k), "general", None, 1 << d, floor=16)
             assert kern.even == sum(1 << v for v in range(1 << d) if v.bit_count() % 2 == 0)
-            kern = search._Kernel(CodeParams(d, k), "general", None, 1 << d, False)
+            kern = search._Kernel(CodeParams(d, k), "general", None, 1 << d)
             assert kern.even is None
-            kern = search._Kernel(CodeParams(d, k), "symmetric", None, 1 << d, False, floor=16)
+            kern = search._Kernel(CodeParams(d, k), "symmetric", None, 1 << d, floor=16)
             assert kern.even is None
 
 
@@ -805,19 +801,19 @@ class TestBallMasks:
     def test_every_ball_at_small_d(self):
         for d in range(2, 7):
             # general mode keeps every radius 0..k-1; k = d + 1 reaches radius d
-            kern = search._Kernel(CodeParams(d, d + 1), "general", None, 1 << d, False)
+            kern = search._Kernel(CodeParams(d, d + 1), "general", None, 1 << d)
             for radius in range(d + 1):
                 for v in range(1 << d):
                     self._check(kern, radius, v)
 
     def test_random_balls_at_d_14(self):
         rng = random.Random(14)
-        kern = search._Kernel(CodeParams(14, 8), "general", None, 1 << 14, False)
+        kern = search._Kernel(CodeParams(14, 8), "general", None, 1 << 14)
         for _ in range(200):
             self._check(kern, rng.randrange(8), rng.randrange(1 << 14))
 
     def test_symmetric_mode_keeps_radius_k_minus_1_only(self):
-        kern = search._Kernel(CodeParams(8, 4), "symmetric", None, 256, False)
+        kern = search._Kernel(CodeParams(8, 4), "symmetric", None, 256)
         assert [len(row) for row in kern.balls] == [0, 0, 0, 256]
 
 
