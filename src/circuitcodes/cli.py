@@ -36,7 +36,7 @@ import json
 import os
 import sys
 
-from .canon import canonical_form
+from .canon import canonical_form, leading_runs
 from .core import (
     CodeParams,
     MalformedSequenceError,
@@ -62,7 +62,6 @@ from .verify import (
     InapplicableError,
     InternalConsistencyError,
     audit_delta_inequalities,
-    bit_runs,
     check_spread,
     check_window_bitrun_property,
     is_symmetric,
@@ -103,9 +102,8 @@ def _cmd_verify(args) -> int:
     if report is not None:
         print(report.to_line())
         return EXIT_VIOLATION
-    runs = bit_runs(word)
     sym = "yes" if is_symmetric(word) else "no"
-    print(f"valid n={len(word)} longest_bit_run={runs.longest} symmetric={sym}")
+    print(f"valid n={len(word)} longest_bit_run={max(leading_runs(word))} symmetric={sym}")
     return EXIT_OK
 
 
@@ -197,11 +195,10 @@ def _cmd_canon(args) -> int:
 
 def _audit_one(idx: int, params: CodeParams, word: Word) -> bool:
     """Run all applicable audits on one record; True iff everything passed."""
-    runs = bit_runs(word)
     sym = "yes" if is_symmetric(word) else "no"
     print(
         f"record {idx}: d={params.d} k={params.k} n={len(word)} "
-        f"symmetric={sym} longest_bit_run={runs.longest}"
+        f"symmetric={sym} longest_bit_run={max(leading_runs(word))}"
     )
     ok = True
     try:

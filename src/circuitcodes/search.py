@@ -87,9 +87,9 @@ Four more rules make the search a branch-and-bound search.
     never feeds rule (b), so witnesses and node totals do not depend on
     the number of workers.
 (d) Closability, in every mode: a node is not expanded when none of its
-    descendants can close.  Both bounds read only the node's own walk,
-    never the incumbent or the 2^d-bit mask, and cost O(t) popcounts per
-    push.
+    descendants can close.  Both rules read only the node's own walk and
+    ball mask, never the incumbent, so node totals are the same for any
+    number of workers.
     In symmetric and family mode, let a half-word of length t have a
     descendant of length T >= t+1 that closes, with top x = walk[T].
     Every centre i <= t+1-k of fm is T - i >= k steps before x, so x
@@ -106,13 +106,12 @@ Four more rules make the search a branch-and-bound search.
     length N >= t+2.  Its vertex N-1 is a unit vector e_c.  A centre
     i <= t+1-k of fm is min(N-1-i, i+1) steps from it around the cycle,
     and N-1-i >= k, so the pair needs distance min(i+1, k), more than the
-    ball's radius min(i, k) - 1: e_c lies outside fm.  A d-bit cover
-    holds the labels c with e_c in fm (``_Kernel._cover``); once it holds
-    every label, the only child tried is the closing step, the label that
+    ball's radius min(i, k) - 1: e_c lies outside fm.  Once fm holds every
+    unit vector, the only child tried is the closing step, the label that
     takes the walk back to the origin, and that child is a leaf.
 
-The masks take 2^d bits each, and each kernel keeps a 2^d-entry ball
-list per radius it uses, so the search takes d <= 20 only.
+The masks take 2^d bits each, so the search takes d <= 20 only; each
+kernel keeps the balls it has built, per radius, by centre.
 
 The traversal is one loop, ``_Kernel.run``: it is the only code that
 pushes, pops and counts a node, and it tests the candidate labels and the
@@ -124,7 +123,7 @@ the node budget and the deadline at one site, right after its push, and
 one closure test follows.  Past the gate n >= 4 and n >= incumbent, a
 word back at the origin closes as itself, and a symmetric half-word
 closes as its doubled word when its top is in its parent's tops list.
-The per-depth state (the ball mask, the rule (d) bound and the last
+The per-depth state (the ball mask, the rule (d) tops list and the last
 occurrence each push replaced) lives in lists that grow with the depth
 reached.  A task of a multi-worker run starts from a prefix found by the
 coordinator: ``run(prefix)`` pushes the prefix labels along the same
@@ -150,7 +149,7 @@ from .canon import IsomorphismClass, canonical_form, classify, leading_runs
 from .core import CodeParams, Word
 from .verify import InternalConsistencyError, check_spread
 
-_MAX_SEARCH_D = 20  # vertex masks of 2^d bits and ball lists of 2^d entries
+_MAX_SEARCH_D = 20  # vertex masks and balls of 2^d bits
 
 
 class IncompleteEnumerationError(RuntimeError):
@@ -178,6 +177,14 @@ class SearchOptions:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        # bool is an int subclass, but True is no count; workers is never None
+        for name in ("target", "max_length", "node_budget", "time_limit", "workers"):
+            value = getattr(self, name)
+            kinds, what = ((int, float), "a number") if name == "time_limit" else (int, "an integer")
+            if (value is not None or name == "workers") and (
+                isinstance(value, bool) or not isinstance(value, kinds)
+            ):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.target is not None:
@@ -314,17 +321,14 @@ class _Kernel:
         # shortest code worth verifying; raised by every recorded code
         self.incumbent = incumbent
         self.stop_depth = stop_depth
-        # balls[r][v]: the ball of radius r around v once built, else 0;
-        # symmetric mode only uses radius k-1
+        # balls[r]: the balls of radius r built so far, by centre; symmetric
+        # mode only uses radius k-1
         self.origin_balls = _origin_balls(self.d, self.k - 1)
         self.low = _low_masks(self.d)
-        self.balls = [
-            [0] * (1 << self.d) if not self.symmetric or r == self.k - 1 else []
-            for r in range(self.k)
-        ]
+        self.balls: list[dict[int, int]] = [{} for _ in range(self.k)]
         self.bit = [0] + [1 << (c - 1) for c in range(1, self.d + 1)]
-        # rule (d) in general mode: the cover holding every label
-        self.units = (1 << self.d) - 1
+        # rule (d) in general mode: the vertex mask of e_1 ... e_d
+        self.units = sum(1 << (1 << b) for b in range(self.d))
         # rule (b) of the module docstring: general mode with a floor
         self.floor = floor
         self.even = _even_mask(self.d) if not self.symmetric and floor > 0 else None
@@ -342,8 +346,9 @@ class _Kernel:
     # -- balls ---------------------------------------------------------------
 
     def _new_ball(self, radius: int, v: int) -> int:
-        """Build and keep the ball of the radius around v: the origin ball
-        translated by XOR v, one shift-and-mask step per set bit of v."""
+        """Build and keep the ball of the radius around v (never 0): the
+        origin ball translated by XOR v, one shift-and-mask step per set bit
+        of v."""
         m = self.origin_balls[radius]
         low = self.low
         for b in range(self.d):
@@ -379,17 +384,6 @@ class _Kernel:
             if not tops:
                 break
         return tops
-
-    def _cover(self, cov: int, radius: int, v: int) -> int:
-        """The unit-label cover once the ball of the radius around v joins
-        the mask: e_c lies in that ball when |v ^ e_c|, which is |v| - 1 for
-        a label c of v and |v| + 1 for the others, is at most the radius."""
-        w = v.bit_count()
-        if w < radius:
-            return self.units
-        if w <= radius + 1:
-            return cov | v
-        return cov
 
     # -- closing a code ------------------------------------------------------
 
@@ -436,7 +430,7 @@ class _Kernel:
         """
         d, k, lo, symmetric = self.d, self.k, self.lo, self.symmetric
         word, walk, bit, balls = self.word, self.walk, self.bit, self.balls
-        frontier, close, narrow, cover = self.frontier, self._close, self._narrow, self._cover
+        frontier, close, narrow = self.frontier, self._close, self._narrow
         units = self.units
         stop_depth = self.stop_depth
         word_cap = self.max_word // 2 if symmetric else self.max_word
@@ -450,11 +444,10 @@ class _Kernel:
         pfloor = self.floor if even is not None else 0
         half = 1 << (d - 1)
         # per-depth state: fms[t] is the ball mask of the word of length t,
-        # bounds[t] its rule (d) state (the tops list in symmetric mode, None
-        # while t <= k; the unit-label cover in general mode), prevs[j] the
-        # last index of label word[j] before index j
+        # bounds[t] its rule (d) tops list (symmetric mode, t > k; else
+        # None), prevs[j] the last index of label word[j] before index j
         fms = [0]
-        bounds: list = [None if symmetric else 0]
+        bounds: list = [None]
         prevs: list[int] = []
         # rule (a) state: the last index of each label, and the leading
         # run R (0 before any repeat); used is the number of labels seen
@@ -498,7 +491,7 @@ class _Kernel:
                         near = t + 2 - k if t + 2 - k > lo else lo
                         fresh = near if symmetric or near > t // 2 else t // 2 + 1
                         v = walk[t]
-                        if symmetric or bounds[-1] != units:
+                        if symmetric or fm & units != units:
                             labels = range(used + 1 if used < d else d, 0, -1)
                         else:
                             # rule (d) in general mode: every unit vector is
@@ -567,9 +560,7 @@ class _Kernel:
                 if istar >= lo:
                     radius = (k if symmetric else min(istar, k)) - 1
                     v = walk[istar]
-                    fm |= balls[radius][v] or self._new_ball(radius, v)
-                    if not symmetric and bound != units:
-                        bound = cover(bound, radius, v)
+                    fm |= balls[radius].get(v) or self._new_ball(radius, v)
                 if symmetric and t > k:
                     bound = narrow(bound, t)
                 fms.append(fm)

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -193,6 +194,25 @@ class TestBudgets:
         # NaN compares false with every deadline, so it would never stop a run
         with pytest.raises(ValueError, match="time limit must be positive"):
             SearchOptions(time_limit=limit)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("node_budget", True), ("node_budget", 2.5), ("max_length", False),
+            ("max_length", 10.5), ("target", True), ("target", 14.0),
+            ("workers", True), ("workers", 2.5), ("workers", None),
+            ("time_limit", True), ("time_limit", "5"),
+        ],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        # True would run a 1-node budget, False a length cap of 0, 2.5 a
+        # fractional bound; "5" and workers 2.5 would fail later as TypeErrors
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            SearchOptions(**{field: value})
+
+    @pytest.mark.parametrize("limit", [1, 0.5])
+    def test_time_limit_takes_ints_and_floats(self, limit):
+        assert SearchOptions(time_limit=limit).time_limit == limit
 
     def test_truncated_enumeration_raises(self):
         with pytest.raises(IncompleteEnumerationError):
@@ -428,7 +448,7 @@ def _reference_levels(d, k, mode, depth):
     definition.  A general word back at the origin is a leaf (counted,
     never open), and a node is not expanded when rule (d) by definition
     says none of its descendants closes: an empty tops list, scanned over
-    all 2^d vertices, or a unit cover holding every label.
+    all 2^d vertices, or every unit vector within a ball of the mask.
     """
     symmetric = mode != "general"
     level = [()]
@@ -640,9 +660,9 @@ class TestSymmetricClosure:
 
 
 class TestClosability:
-    """Rule (d): the tops list and the unit-label cover are what their
-    definitions say at every node that computes them, and they prune the
-    same nodes for any number of workers."""
+    """Rule (d): the tops list is what its definition says at every node
+    that computes it, and both rules prune the same nodes for any number
+    of workers."""
 
     @pytest.mark.parametrize(
         "d,k,mode,l", [(8, 4, "symmetric", None), (9, 5, "symmetric", None), (8, 4, "family", 3)]
@@ -678,33 +698,6 @@ class TestClosability:
         # k allows only the word 1, 2, ..., t
         assert len(alive) == kern.nodes - k
         assert set(alive) == {True, False}
-
-    @pytest.mark.parametrize("d,k", [(6, 3), (7, 4)])
-    def test_unit_cover_by_definition(self, monkeypatch, d, k):
-        # label c is covered when e_c lies in the radius-(min(i,k)-1) ball
-        # around walk[i] for some 1 <= i <= t+1-k
-        real = search._Kernel._cover
-        covers = []
-
-        def checked(kern, cov, radius, v):
-            got = real(kern, cov, radius, v)
-            walk, t = kern.walk, len(kern.word)
-            assert v == walk[t + 1 - k] and radius == min(t + 1 - k, k) - 1
-            want = 0
-            for c in range(1, d + 1):
-                e = 1 << (c - 1)
-                if any(
-                    (walk[i] ^ e).bit_count() <= min(i, k) - 1 for i in range(1, t + 2 - k)
-                ):
-                    want |= e
-            assert got == want, kern.word
-            covers.append(got)
-            return got
-
-        monkeypatch.setattr(search._Kernel, "_cover", checked)
-        rec = max_length(CodeParams(d, k))
-        assert rec.exhaustive
-        assert (1 << d) - 1 in covers and min(covers) < (1 << d) - 1
 
     @pytest.mark.parametrize(
         "run,d,k,nodes", [(max_length, 7, 3, 240866), (symmetric_max, 11, 6, 2151)]
@@ -812,9 +805,20 @@ class TestBallMasks:
         for _ in range(200):
             self._check(kern, rng.randrange(8), rng.randrange(1 << 14))
 
-    def test_symmetric_mode_keeps_radius_k_minus_1_only(self):
-        kern = search._Kernel(CodeParams(8, 4), "symmetric", None, 256)
-        assert [len(row) for row in kern.balls] == [0, 0, 0, 256]
+    def test_kernel_at_d_20_holds_only_the_balls_it_builds(self):
+        # the first kernel caches the origin balls and low masks that every
+        # kernel of these parameters shares; a second allocates only its own
+        # state (2^d ball slots per radius would be 96 MiB)
+        params = CodeParams(20, 12)
+        search._Kernel(params, "general", None, 1 << 20)
+        tracemalloc.start()
+        try:
+            kern = search._Kernel(params, "general", None, 1 << 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert kern.balls == [{}] * 12
 
 
 class TestStretchScale:

@@ -25,6 +25,7 @@ from circuitcodes import (
     normalize_to_bitrun_form,
     segment_labels,
 )
+from circuitcodes.canon import leading_runs
 
 from conftest import closed_words
 from oracles import normal_form_bruteforce
@@ -217,6 +218,8 @@ class TestBitRunsAgainstDefinitionOracle:
                 want_runs, want_longest = self.oracle(w)
                 assert set(report.runs) == want_runs, w
                 assert report.longest == want_longest, w
+                # the CLI prints the longest run off the run table
+                assert max(leading_runs(w)) == want_longest, w
 
     def test_random(self):
         rng = random.Random(71)
@@ -226,6 +229,7 @@ class TestBitRunsAgainstDefinitionOracle:
             report = bit_runs(w)
             want_runs, want_longest = self.oracle(w)
             assert set(report.runs) == want_runs and report.longest == want_longest
+            assert max(leading_runs(w)) == want_longest
 
 
 class TestDeltaAuditAgainstRecountOracle:
