@@ -61,6 +61,7 @@ from .tables import lookup
 from .verify import (
     InapplicableError,
     InternalConsistencyError,
+    _word_facts,
     audit_delta_inequalities,
     check_spread,
     check_window_bitrun_property,
@@ -194,11 +195,16 @@ def _cmd_canon(args) -> int:
 
 
 def _audit_one(idx: int, params: CodeParams, word: Word) -> bool:
-    """Run all applicable audits on one record; True iff everything passed."""
+    """Run all applicable audits on one record; True iff everything passed.
+
+    The header and the three audits read one validation, run table and
+    packed int: ``verify`` keeps the facts of the last word it was given.
+    """
     sym = "yes" if is_symmetric(word) else "no"
+    runs = _word_facts(word, params.d).runs
     print(
         f"record {idx}: d={params.d} k={params.k} n={len(word)} "
-        f"symmetric={sym} longest_bit_run={max(leading_runs(word))}"
+        f"symmetric={sym} longest_bit_run={max(runs)}"
     )
     ok = True
     try:

@@ -139,7 +139,6 @@ this arrangement against unpruned enumeration is part of the test suite.
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -611,7 +610,10 @@ def _run_subtree(job: dict, prefix: Word, incumbent: int) -> _RunResult:
 
 def _pool_map(tasks: list[tuple], workers: int) -> list[_RunResult] | None:
     """Run the tasks in a process pool of at most one process per task;
-    None when no pool can be started here."""
+    None when no pool can be started here.  ``multiprocessing`` is imported
+    here, so that importing the package does not load it."""
+    import multiprocessing
+
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:

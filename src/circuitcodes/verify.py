@@ -9,12 +9,33 @@ Two independent deciders are provided.  ``check_spread`` works on parity
 masks with bit counting; ``brute_force_check`` expands the vertex walk to
 coordinate sets and measures pairwise symmetric differences.  They share
 no arithmetic and are cross-validated exhaustively in the test suite.
+
+``check_spread`` and the delta audit test every vertex pair of a word
+with a few whole-word integer operations instead of one Python step per
+pair.  Vertex s is the parity mask m_s of the first s labels, and the n
+masks are packed into one int, one field of W bits per vertex, where W is
+the smallest power of two that is at least max(8, d).  Pairs at cycle
+distance L are then one XOR of that int with itself rotated by L fields:
+field s holds m_s ^ m_(s+L mod n), whose popcount is the cube distance.
+A SWAR popcount (bit-parallel arithmetic on all fields of one int) counts
+every field at once: three mask steps leave each byte's count in that
+byte, and log2(W/8) shift-and-add folds gather a field's bytes into its
+low byte.  One add of 128 - t to every field then decides every pair
+against its threshold t.  A count c is at most d <= 64, so a threshold
+above d + 1 decides like d + 1 and is capped there.  Then c + 128 - t
+lies in 63..191: it never carries out of its byte, and bit 7 of the low
+byte is set exactly when c >= t (the field's other bytes hold partial
+sums of at most 64 and are masked off).  The fields whose bit 7 is clear
+are the offending starts.  Lengths are taken one at a time, so the kernel
+holds a few ints of 2nW bits and no more.
 """
 
 from __future__ import annotations
 
+import functools
+import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .canon import _least_rotation, leading_runs
 from .core import (
@@ -24,6 +45,7 @@ from .core import (
     as_word,
     expand_vertices,
     format_sequence,
+    is_closed,
     prefix_masks,
 )
 
@@ -72,32 +94,126 @@ class ViolationReport:
         )
 
 
-def _require_cycle(word: Word) -> None:
-    n = len(word)
+def _require_cycle(n: int, closed: bool) -> None:
     if n < 4:
         raise StructuralError(
             f"a cycle in the hypercube has at least 4 transitions, got {n}"
         )
-    mask = 0
-    for c in word:
-        mask ^= 1 << (c - 1)
-    if mask:
+    if not closed:
         raise StructuralError("sequence is not closed: walk does not return to origin")
+
+
+@functools.cache
+def _array_of(width: int) -> functools.partial:
+    """An ``array`` constructor with items ``width`` bits wide.
+
+    One entry per field width (8, 16, 32 or 64), and ``array`` is imported
+    on first use, so importing the package does not load it.
+    """
+    from array import array
+
+    return functools.partial(array, next(c for c in "BHILQ" if array(c).itemsize * 8 == width))
+
+
+class _WordFacts:
+    """A validated word and what the deciders and audits read off it: its
+    prefix masks, their packed int and, on first use, its run table."""
+
+    def __init__(self, word: Word, d: int) -> None:
+        self.word = word
+        self.d = d
+        self.n = n = len(word)
+        self.masks = prefix_masks(word)
+        self.width = max(8, 1 << (d - 1).bit_length())
+        fields = _array_of(self.width)(self.masks[:n])
+        if sys.byteorder == "big":
+            fields.byteswap()
+        # masks[s] in bits s*W .. s*W + W - 1
+        self.packed = int.from_bytes(fields.tobytes(), "little")
+        self._runs: list[int] | None = None
+
+    @property
+    def runs(self) -> list[int]:
+        if self._runs is None:
+            self._runs = leading_runs(self.word)
+        return self._runs
+
+
+_last_facts: _WordFacts | None = None
+
+
+def _word_facts(word: Sequence[int], d: int) -> _WordFacts:
+    """The facts of ``word`` validated against dimension ``d``.
+
+    A one-entry memo: the header and the three audits of one ``audit``
+    record share one validation, run table and packed int.  It holds the
+    last word only, so its size does not grow with the input.  It is keyed by identity, not equality: the memo keeps
+    its word alive, so an id cannot be reused while it is cached, and an
+    equal word with other label types (``True`` for 1) is validated afresh.
+    """
+    global _last_facts
+    facts = _last_facts
+    if facts is None or facts.word is not word or facts.d != d:
+        facts = _last_facts = _WordFacts(as_word(word, d), d)
+    return facts
+
+
+def _short_pairs(
+    facts: _WordFacts, lengths: Iterable[int], k: int
+) -> Iterator[tuple[int, int]]:
+    """Yield ``(L, flags)`` for each length L at which some pair falls short.
+
+    Bit 7 of field s of ``flags`` is set iff vertices s and (s + L) mod n
+    are fewer than min(L, k) cube steps apart; every other bit is clear.
+    The word must be closed.  The packed kernel of the module docstring.
+    """
+    n, width, packed = facts.n, facts.width, facts.packed
+    k = min(k, facts.d + 1)  # no count exceeds d, so larger thresholds act alike
+    doubled = packed | (packed << n * width)
+    ones = int.from_bytes(b"\x01".ljust(width // 8, b"\x00") * n, "little")
+    bytes_ = ones * int.from_bytes(b"\x01" * (width // 8), "little")
+    m1, m2, m4 = 0x55 * bytes_, 0x33 * bytes_, 0x0F * bytes_
+    top = 0x80 * ones
+    folds = [shift for shift in (8, 16, 32) if shift < width]
+    add_k = (128 - k) * ones
+    for length in lengths:
+        x = packed ^ (doubled >> length * width)
+        x -= (x >> 1) & m1
+        x = (x & m2) + ((x >> 2) & m2)
+        x = (x + (x >> 4)) & m4
+        for shift in folds:
+            x += x >> shift
+        met = (x + (add_k if length >= k else (128 - length) * ones)) & top
+        if met != top:
+            yield length, met ^ top
+
+
+def _fields(flags: int, width: int) -> list[int]:
+    """Indices of the fields with a set bit, ascending."""
+    out = []
+    while flags:
+        low = flags & -flags
+        out.append((low.bit_length() - 1) // width)
+        flags ^= low
+    return out
 
 
 def check_spread(word: Sequence[int], params: CodeParams) -> ViolationReport | None:
     """Decide the spread requirement; None means valid.
 
-    Scans vertex pairs in lexicographic (i, j) order and reports the
-    first violation, so error reports are deterministic.  Pair distances
-    come from parity prefix masks: each unordered pair is examined once,
-    the long way around a pair's cycle never recomputed.
+    Reports the first violating vertex pair in lexicographic (i, j) order,
+    so error reports are deterministic.  The packed kernel decides the
+    word and stops at the first length that has an offending pair; only
+    then are the pairs scanned one by one, up to the first violation.
     """
-    w = as_word(word, params.d)
-    _require_cycle(w)
-    n = len(w)
-    k = params.k
-    pm = prefix_masks(w)
+    return _first_violation(_word_facts(word, params.d), params.k)
+
+
+def _first_violation(facts: _WordFacts, k: int) -> ViolationReport | None:
+    n, pm = facts.n, facts.masks
+    _require_cycle(n, pm[-1] == 0)
+    if next(_short_pairs(facts, range(1, n // 2 + 1), k), None) is None:
+        return None
     for i in range(n):
         pi = pm[i]
         for j in range(i + 1, n):
@@ -112,9 +228,9 @@ def check_spread(word: Sequence[int], params: CodeParams) -> ViolationReport | N
                     code_dist=code_dist,
                     cube_dist=cube_dist,
                     required=required,
-                    segment=w[i:j],
+                    segment=facts.word[i:j],
                 )
-    return None
+    raise InternalConsistencyError("the packed kernel flagged a pair that the scan does not find")
 
 
 def brute_force_check(
@@ -125,7 +241,7 @@ def brute_force_check(
     Same verdict contract as :func:`check_spread`, no shared shortcut.
     """
     w = as_word(word, params.d)
-    _require_cycle(w)
+    _require_cycle(len(w), is_closed(w))
     n = len(w)
     k = params.k
     walk = expand_vertices(w, params.d)
@@ -206,12 +322,12 @@ def in_family(word: Sequence[int], params: CodeParams, l: int) -> bool:
     """Membership in the family of codes containing a bit run >= k + l."""
     if l < 2:
         raise ValueError(f"family parameter l must be >= 2, got {l}")
-    w = as_word(word, params.d)
-    if check_spread(w, params) is not None:
+    facts = _word_facts(word, params.d)
+    if _first_violation(facts, params.k) is not None:
         raise NotACircuitCodeError(
             f"family membership is defined for valid ({params.d},{params.k}) codes"
         )
-    return bit_runs(w).longest >= params.k + l
+    return max(facts.runs) >= params.k + l
 
 
 def check_window_bitrun_property(
@@ -223,14 +339,14 @@ def check_window_bitrun_property(
     (returned as the offending window) would mean the implementation is
     broken, not the input.  None means the property holds.
     """
-    w = as_word(word, params.d)
-    n = len(w)
+    facts = _word_facts(word, params.d)
+    n = facts.n
     k = params.k
     if n <= 2 * (k + 1):
         raise InapplicableError(
             f"window property needs length > {2 * (k + 1)}, got {n}"
         )
-    runs = leading_runs(w)
+    runs = facts.runs
     for i in range(n):
         # the window at i begins with a (k+2)-run, or its last k+2 labels are one
         if runs[i] < k + 2 and runs[(i + 1) % n] < k + 2:
@@ -253,29 +369,31 @@ def audit_delta_inequalities(
     odd count is at least 1), so the short offenders are the starts whose
     leading run is below L.  In a closed word a segment (s, L) and its
     complement ((s + L) mod N, N - L) have one odd-set, so lengths above
-    N/2 mirror their complement's offenders when it is at least k+2.
+    N/2 mirror their complement's offenders when it is at least k+2.  The
+    lengths counted directly go through the packed kernel with threshold k.
     """
-    w = as_word(word, params.d)
-    n = len(w)
+    facts = _word_facts(word, params.d)
+    n = facts.n
     k = params.k
     if n <= 2 * k:
         raise InapplicableError(f"delta audit needs length > {2 * k}, got {n}")
-    pm = prefix_masks(w)
-    if pm[-1] != 0:
+    if facts.masks[-1] != 0:
         raise StructuralError("delta audit expects a closed sequence")
 
     offenders: list[Segment] = []
-    runs = leading_runs(w)
+    runs = facts.runs
     for length in range(min(runs) + 1, min(k + 1, n - 1) + 1):
         offenders += (Segment(s + 1, length) for s in range(n) if runs[s] < length)
-    wrapped = pm[:n] * 2
-    low: dict[int, list[int]] = {}
+    counted = [L for L in range(k + 2, n - k + 1) if L <= n // 2 or n - L < k + 2]
+    flags = dict(_short_pairs(facts, counted, k))
+    if not flags:  # no counted length falls short, so no mirrored one does
+        return tuple(offenders)
     for length in range(k + 2, n - k + 1):
         if length <= n // 2 or n - length < k + 2:
-            ends = zip(pm, wrapped[length : length + n])
-            starts = low[length] = [s for s, (a, b) in enumerate(ends) if (a ^ b).bit_count() < k]
+            starts = _fields(flags.get(length, 0), facts.width)
         else:  # segment (s, L) is the complement of ((s + L) mod n, n - L)
-            starts = sorted((t - length) % n for t in low[n - length])
+            complement = _fields(flags.get(n - length, 0), facts.width)
+            starts = sorted((t - length) % n for t in complement)
         offenders += (Segment(s + 1, length) for s in starts)
     return tuple(offenders)
 
@@ -314,8 +432,8 @@ def normalize_to_bitrun_form(
     code.
     """
     d, k = params.d, params.k
-    w = as_word(word, d)
-    n = len(w)
+    facts = _word_facts(word, d)
+    w, n = facts.word, facts.n
     if k % 2 != 0:
         raise InapplicableError(f"normal form needs even spread, got k={k}")
     if 2 * d != 3 * k + 4:
@@ -326,10 +444,10 @@ def normalize_to_bitrun_form(
         raise InapplicableError(f"normal form needs length {4 * k + 6}, got {n}")
     if not is_symmetric(w):
         raise InapplicableError("normal form needs a symmetric sequence")
-    if check_spread(w, params) is not None:
+    if _first_violation(facts, k) is not None:
         raise InapplicableError("normal form needs a valid circuit code")
     # the largest leading run starts a maximal run: it is bit_runs' longest
-    runs = leading_runs(w)
+    runs = facts.runs
     if max(runs) < k + 2:
         raise InapplicableError(f"normal form needs a bit run of length {k + 2}")
 

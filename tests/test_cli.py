@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from circuitcodes import cli
+from circuitcodes import cli, verify
 from circuitcodes.cli import main
 from circuitcodes.tables import KnownValue
 from circuitcodes.verify import InternalConsistencyError
@@ -444,6 +444,29 @@ class TestAudit:
         assert "record 1: window_bitrun ok" in out
         assert "record 1: bitrun_normal_form FAIL (normal form lost its head run)" in out
 
+    def test_each_record_is_validated_and_run_once(
+        self, capsys, tmp_path, monkeypatch, rec_84_sym
+    ):
+        # the header and all three audits share one validation and run table
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+
+            return wrapper
+
+        for name in ("as_word", "leading_runs", "prefix_masks"):
+            monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+        f = tmp_path / "s84.jsonl"
+        word = list(rec_84_sym.witnesses[0])
+        self.write_records(f, [{"d": 8, "k": 4, "transitions": word}] * 2)
+        code, out, err = run_cli(capsys, "audit", "--file", str(f))
+        assert (code, err) == (0, "")
+        assert out.count("bitrun_normal_form ok") == 2
+        assert sorted(calls) == ["as_word"] * 2 + ["leading_runs"] * 2 + ["prefix_masks"] * 2
+
     def test_boolean_k_is_input_error(self, capsys, tmp_path):
         f = tmp_path / "bool.jsonl"
         self.write_records(
@@ -530,6 +553,13 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "canonical: 1,2,1,2" in proc.stdout
+
+    def test_import_loads_no_pool_or_array_module(self):
+        # importing the CLI does no work that only a multi-worker search or
+        # the verifier's first call needs
+        code = "import sys, circuitcodes.cli; print(sorted({'array', 'multiprocessing'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
     def test_usage_error_exit_1(self, capsys):
         assert main(["bogus-subcommand"]) == 1

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import random
 import tracemalloc
 
@@ -537,7 +538,7 @@ class TestKernelPaths:
     @pytest.mark.parametrize("d,k,run", [(5, 2, max_length), (8, 4, symmetric_max)])
     def test_in_process_fallback_matches_one_worker(self, monkeypatch, d, k, run):
         single = run(CodeParams(d, k))
-        real_context = search.multiprocessing.get_context
+        real_context = multiprocessing.get_context
 
         class NoPool:
             def __init__(self, method):
@@ -546,7 +547,7 @@ class TestKernelPaths:
             def Pool(self, *args, **kwargs):
                 raise OSError("no process pool")
 
-        monkeypatch.setattr(search.multiprocessing, "get_context", NoPool)
+        monkeypatch.setattr(multiprocessing, "get_context", NoPool)
         rec = run(CodeParams(d, k), SearchOptions(workers=2))
         assert rec.witnesses == single.witnesses
         assert rec.nodes == single.nodes
@@ -569,7 +570,7 @@ class TestKernelPaths:
                 requested.append(processes)
                 raise OSError("no process pool")
 
-        monkeypatch.setattr(search.multiprocessing, "get_context", CountingPool)
+        monkeypatch.setattr(multiprocessing, "get_context", CountingPool)
         rec = run(CodeParams(d, k), SearchOptions(workers=64))
         assert requested == [tasks]
         assert rec.witnesses == single.witnesses

@@ -26,11 +26,26 @@ from circuitcodes import (
     segment_labels,
 )
 from circuitcodes.canon import leading_runs
+from circuitcodes.core import MalformedSequenceError
 
 from conftest import closed_words
 from oracles import normal_form_bruteforce
 
 GRAY3 = (1, 2, 1, 3, 1, 2, 1, 3)
+
+
+def _gray_cycle(d):
+    """The reflected Gray cycle through all 2^d vertices, as labels."""
+    n = 1 << d
+    return tuple(((i ^ i >> 1) ^ ((i + 1) % n ^ (i + 1) % n >> 1)).bit_length() for i in range(n))
+
+
+def _random_closed_word(rng, d, n_max):
+    """A seeded closed word over 1..d: random labels, then its odd set."""
+    w = [rng.randint(1, d) for _ in range(rng.randint(2, n_max))]
+    odd = sorted(c for c in set(w) if w.count(c) % 2)
+    rng.shuffle(odd)
+    return tuple(w + odd)
 
 
 def _variants(word, d, rng, relabelings=3):
@@ -109,6 +124,59 @@ class TestCheckSpread:
             d = max(w)
             ks = [k for k in range(1, 7) if check_spread(w, CodeParams(d, k)) is None]
             assert ks == list(range(1, len(ks) + 1))
+
+    @pytest.mark.parametrize("d", [8, 9, 16, 17, 32, 33, 64])
+    def test_report_equals_brute_force_at_field_width_edges(self, d):
+        # the packed kernel's fields are 8, 16, 32 or 64 bits wide; d on
+        # either side of a width, distinct-label runs that reach counts of
+        # d, and spreads above d + 1, where the threshold is capped
+        rng = random.Random(1000 + d)
+        run = tuple(range(1, d + 1)) * 2  # valid for every k
+        words = [run, run[1:] + run[:1]]
+        for _ in range(150):
+            w = _random_closed_word(rng, d, min(2 * d, 40))
+            words.append(w)
+            x = list(w)
+            i, j = rng.sample(range(len(x)), 2)
+            x[i], x[j] = x[j], x[i]
+            words.append(tuple(x))
+        verdicts = set()
+        for w in words:
+            for k in {1, 2, 3, rng.randint(1, d), d, d + 1, d + 5}:
+                params = CodeParams(d, k)
+                if len(w) < 4:
+                    continue
+                report = check_spread(w, params)
+                assert report == brute_force_check(w, params), (w, k)
+                verdicts.add(report is None)
+        assert verdicts == {True, False}
+
+    def test_gray_cycle_of_1024_steps(self):
+        gray = _gray_cycle(10)
+        assert len(gray) == 1024
+        assert check_spread(gray, CodeParams(10, 1)) is None
+        # swapping the first two labels makes the walk revisit vertex 2
+        swapped = (gray[1], gray[0]) + gray[2:]
+        report = check_spread(swapped, CodeParams(10, 1))
+        assert report == ViolationReport(
+            i=2, j=4, code_dist=2, cube_dist=0, required=1, segment=(1, 1)
+        )
+
+    def test_equal_word_of_other_label_types_is_validated_again(self):
+        # the verifier remembers the facts of the last word by identity,
+        # so True == 1 never lets a malformed word through
+        params = CodeParams(2, 1)
+        assert check_spread((1, 2, 1, 2), params) is None
+        with pytest.raises(MalformedSequenceError):
+            check_spread((True, 2, 1, 2), params)
+        with pytest.raises(MalformedSequenceError):
+            check_spread((1.0, 2, 1, 2), params)
+        assert check_spread([1, 2, 1, 2], params) is None
+        # the same word object checked against a smaller dimension
+        word = (1, 2, 3, 1, 2, 3)
+        assert check_spread(word, CodeParams(3, 2)) is None
+        with pytest.raises(MalformedSequenceError):
+            check_spread(word, CodeParams(2, 2))
 
 
 class TestBruteForce:
@@ -298,6 +366,33 @@ class TestDeltaAuditAgainstRecountOracle:
                     mirrored += sum(1 for seg in got if n / 2 < seg.length <= n - k - 2)
         assert short and mirrored
 
+    @pytest.mark.parametrize("d", [9, 17])
+    def test_random_words_across_field_widths(self, d):
+        # d = 9 and 17 pack into 16- and 32-bit fields; runs of distinct
+        # labels and their transpositions give clean words, offending long
+        # lengths and mirrored ones
+        rng = random.Random(97 + d)
+        words = []
+        for _ in range(12):
+            perm = rng.sample(range(1, d + 1), d)
+            run = tuple(perm[: rng.randint(3, min(d, 12))]) * 2
+            x = list(run)
+            i, j = rng.sample(range(len(x)), 2)
+            x[i], x[j] = x[j], x[i]
+            words += [run, tuple(x), _random_closed_word(rng, d, 14)]
+        clean = long = 0
+        for w in words:
+            n = len(w)
+            for k in sorted({1, 2, rng.randint(1, max(1, (n - 1) // 2))}):
+                if n <= 2 * k:
+                    continue
+                params = CodeParams(d, k)
+                got = audit_delta_inequalities(w, params)
+                assert got == self.oracle(w, params), (w, k)
+                clean += not got
+                long += any(seg.length >= k + 2 for seg in got)
+        assert clean and long
+
 
 class TestInFamily:
     def test_max_symmetric_code_in_family_3(self, rec_84_sym):
@@ -379,6 +474,15 @@ class TestDeltaAudit:
         assert first == Segment(1, 3)
         assert segment_labels(GRAY3, first) == (1, 2, 1)
         assert delta(GRAY3, first) == 1
+
+    def test_spread_above_every_count(self):
+        # k = 130 exceeds every count of a d = 2 word, and 128 - k < 0:
+        # the kernel caps its threshold at d + 1
+        w = (1, 2) * 132
+        n = len(w)
+        # lengths 3..131 repeat a label; no segment has odd-count 130
+        want = tuple(Segment(s, L) for L in range(3, 135) for s in range(1, n + 1))
+        assert audit_delta_inequalities(w, CodeParams(2, 130)) == want
 
     def test_inapplicable_when_short(self):
         with pytest.raises(InapplicableError):
