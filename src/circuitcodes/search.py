@@ -7,34 +7,38 @@ a representative in the space and no work is spent on relabelings.
 
 Pruning is by a necessary condition on partial words.  Any segment of a
 finished cycle of length N must have odd-count >= min(len, N - len, k).
-For a segment ending at the newest transition of a partial word of
-length t, every completion satisfies N >= t, which makes
+A partial word of length t whose walk is not back at the origin is
+still open: every completion closes at N >= t + 1.  For a segment ending
+at its newest transition that makes
 
-    odd_count(segment) >= min(len(segment), k, t - len(segment))
+    odd_count(segment) >= min(len(segment), k, t + 1 - len(segment))
 
 a sound filter: the third term accounts for completions that close the
 cycle soon after the segment started (the naive min(len, k) bound would
-wrongly discard short cycles such as 1,2,1,2 at spread 2).  In symmetric
-mode the doubled word always has N >= 2t, which removes the third term
-for pairs inside the half-word.
+wrongly discard short cycles such as 1,2,1,2 at spread 2).  A word back
+at the origin is a closed code, decided by the full verifier.  In
+symmetric mode the doubled word always has N >= 2t, which removes the
+third term for pairs inside the half-word.
 
-In walk terms, a new vertex w at index j must keep cube distance at
-least min(j-i, k) (symmetric mode) or min(j-i, k, i) (general mode)
-from every earlier walk[i], i >= lo = 0 (symmetric) or 1 (general).
-For j - i < k the distance is read off the word: walk[i] ^ w flips the
-labels word[i:j], so it reaches j - i exactly when they are distinct.
-Let near = max(lo, j+1-k), and fresh = near in symmetric mode and
-max(near, ceil(j/2)) in general mode.  From fresh on the threshold is
-j - i; the parent passed the same test one step earlier, so
-word[fresh:j-1] is distinct and the new label passes when it last
-occurred before fresh.  The general pairs near <= i < fresh need
-distance i: at most (k-1)/2 popcounts, only while j < 2k-2.  The far
-pairs, j - i >= k, go through a ball mask: a bitmask over the 2^d
-vertices of everything within the threshold of some walk[i] with
-j - i >= k, grown by one ball per push.  A ball is built the first time
-its centre and radius are needed, by translating the cached origin ball
-by XOR with the centre (one shift-and-mask step per set bit of the
-centre), and kept for the rest of the traversal.
+In walk terms, a new vertex w != 0 at index j closes only at N >= j+1,
+so it must keep cube distance at least min(j-i, k) (symmetric mode) or
+min(j-i, k, i+1) (general mode) from every earlier walk[i], i >= lo = 0
+(symmetric) or 1 (general).  For j - i < k the distance is read off the
+word: walk[i] ^ w flips the labels word[i:j], so it reaches j - i
+exactly when they are distinct.  Let near = max(lo, j+1-k), and
+fresh = near in symmetric mode and max(near, ceil((j-1)/2)) in general
+mode.  From fresh on the threshold is j - i; the parent passed the same
+test one step earlier, so word[fresh:j-1] is distinct and the new label
+passes when it last occurred before fresh.  The general pairs
+near <= i < fresh need distance i+1: at most k/2 - 1 popcounts, only
+while j <= 2k-4.  The far pairs, j - i >= k, go through a ball mask: a
+bitmask over the 2^d vertices of everything within the threshold of
+some walk[i] with j - i >= k, that is the ball of radius k-1 (symmetric
+mode) or min(i+1, k)-1 (general mode) around walk[i], grown by one ball
+per push.  A ball is built the first time its centre and radius are
+needed, by translating the cached origin ball by XOR with the centre
+(one shift-and-mask step per set bit of the centre), and kept for the
+rest of the traversal.
 
 A symmetric half-word of length t closes as its doubled word, a cycle of
 length 2t whose vertex t+s is walk[t] ^ walk[s].  The half-word is a
@@ -68,13 +72,24 @@ Four more rules make the search a branch-and-bound search.
     keeps exactly those.
 (b) Parity bound (in the spirit of Ostergard & Pettersson, "Exhaustive
     search for snake-in-the-box codes", Graphs Combin. 2015), general
-    mode with a floor.  With the ball mask fm at depth t, every later
-    vertex walk[t+1..N-1] lies outside fm, the vertices are distinct,
-    and along the cycle they alternate in parity.  So each parity class
-    of the free vertices holds at least floor((N-1-t)/2) of them, which
-    gives N <= t + 2 * min(|free & even|, |free & odd|) + 2.  A node
-    where that is below the floor cannot lead to a code of the floor's
-    length and is not expanded.
+    mode with a floor.  Let g_t be the union of the balls of the centres
+    walk[1..t]; the ball mask at depth t is fm = g_{t+1-k}.  A vertex
+    walk[j] with i + k <= j <= N-1 is min(j-i, N-j+i) >= min(k, i+1)
+    steps from centre i around the cycle, one more than the radius of its
+    ball, so it lies outside that ball.  Hence every later vertex
+    walk[t+1..N-1] lies outside fm and every vertex walk[t+k..N-1]
+    outside g_t.  The vertices are distinct, and along the cycle they
+    alternate in parity.  So each parity class of the vertices outside fm
+    holds at least floor((N-1-t)/2) of them, and each of those outside
+    g_t at least floor((N-t-k)/2), which gives, with free the vertices
+    outside the mask,
+
+        N <= t + 2 + 2 * min(|free & even|, |free & odd|)      (fm)
+        N <= t + k + 1 + 2 * min(|free & even|, |free & odd|)  (g_t)
+
+    A node where either is below the floor cannot lead to a code of the
+    floor's length and is not expanded.  g_t costs one OR per push, and
+    it is kept only while the rule is on.
 (c) A static floor.  Every symmetric code is a general code, so the
     symmetric maximum is a lower bound on K(d,k).  A general run that
     can claim a maximum (length cap 2^d) first runs the symmetric search
@@ -106,9 +121,10 @@ Four more rules make the search a branch-and-bound search.
     length N >= t+2.  Its vertex N-1 is a unit vector e_c.  A centre
     i <= t+1-k of fm is min(N-1-i, i+1) steps from it around the cycle,
     and N-1-i >= k, so the pair needs distance min(i+1, k), more than the
-    ball's radius min(i, k) - 1: e_c lies outside fm.  Once fm holds every
-    unit vector, the only child tried is the closing step, the label that
-    takes the walk back to the origin, and that child is a leaf.
+    ball's radius min(i+1, k) - 1: e_c lies outside fm.  Once fm holds
+    every unit vector, the only child tried is the closing step, the
+    label that takes the walk back to the origin, and that child is a
+    leaf.
 
 The masks take 2^d bits each, so the search takes d <= 20 only; each
 kernel keeps the balls it has built, per radius, by centre.
@@ -123,12 +139,12 @@ the node budget and the deadline at one site, right after its push, and
 one closure test follows.  Past the gate n >= 4 and n >= incumbent, a
 word back at the origin closes as itself, and a symmetric half-word
 closes as its doubled word when its top is in its parent's tops list.
-The per-depth state (the ball mask, the rule (d) tops list and the last
-occurrence each push replaced) lives in lists that grow with the depth
-reached.  A task of a multi-worker run starts from a prefix found by the
-coordinator: ``run(prefix)`` pushes the prefix labels along the same
-path, without counting, closing or checking them (the coordinator
-already did), and then explores every extension.
+The per-depth state (the ball mask, rule (b)'s g_t, the rule (d) tops
+list and the last occurrence each push replaced) lives in lists that
+grow with the depth reached.  A task of a multi-worker run starts from
+a prefix found by the coordinator: ``run(prefix)`` pushes the prefix
+labels along the same path, without counting, closing or checking them
+(the coordinator already did), and then explores every extension.
 
 Everything a pruned partial word could ever become is invalid, or a
 non-canonical rotation, or shorter than a code already known; everything
@@ -442,11 +458,23 @@ class _Kernel:
         even = self.even
         pfloor = self.floor if even is not None else 0
         half = 1 << (d - 1)
+
+        def short(mask: int, need: int) -> bool:
+            # fewer than need / 2 vertices outside the mask in some parity
+            # class; half - taken bounds both classes from below
+            taken = mask.bit_count()
+            if 2 * (half - taken) >= need:
+                return False
+            ev = (mask & even).bit_count()
+            return 2 * (half - max(ev, taken - ev)) < need
+
         # per-depth state: fms[t] is the ball mask of the word of length t,
         # bounds[t] its rule (d) tops list (symmetric mode, t > k; else
         # None), prevs[j] the last index of label word[j] before index j
         fms = [0]
         bounds: list = [None]
+        # rule (b) only: gs[t] is g_t, the union of the balls of walk[1..t]
+        gs = [0] if pfloor else None
         prevs: list[int] = []
         # rule (a) state: the last index of each label, and the leading
         # run R (0 before any repeat); used is the number of labels seen
@@ -473,22 +501,17 @@ class _Kernel:
                     cands = []
                 else:
                     cands = []
+                    # rule (b): reaching the floor needs 2 * min(free even,
+                    # free odd) >= need outside fm and >= need + 1 - k
+                    # outside g_t
                     need = pfloor - t - 2
-                    parity_cut = False
-                    if need > 0:
-                        # rule (b): reaching the floor needs 2 * min(free
-                        # even, free odd) >= need; half - taken bounds both
-                        taken = fm.bit_count()
-                        if 2 * (half - taken) < need:
-                            ev = (fm & even).bit_count()
-                            parity_cut = 2 * (half - max(ev, taken - ev)) < need
-                    if not parity_cut:
+                    if need <= 0 or not (short(gs[-1], need + 1 - k) or short(fm, need)):
                         # pairs closer than k steps (module docstring):
-                        # walk[i], near <= i < t, needs distance i below
+                        # walk[i], near <= i < t, needs distance i+1 below
                         # fresh; from fresh on, a label absent from
                         # word[fresh:] meets them all
                         near = t + 2 - k if t + 2 - k > lo else lo
-                        fresh = near if symmetric or near > t // 2 else t // 2 + 1
+                        fresh = near if symmetric or near > t // 2 else (t + 1) // 2
                         v = walk[t]
                         if symmetric or fm & units != units:
                             labels = range(used + 1 if used < d else d, 0, -1)
@@ -511,7 +534,7 @@ class _Kernel:
                             if p >= fresh or (fm >> w) & 1:
                                 continue
                             for i in range(near, fresh):
-                                if (walk[i] ^ w).bit_count() < i:
+                                if (walk[i] ^ w).bit_count() <= i:
                                     break
                             else:
                                 cands.append(c)
@@ -531,6 +554,8 @@ class _Kernel:
                     walk.pop()
                     fms.pop()
                     bounds.pop()
+                    if gs is not None:
+                        gs.pop()
                     p = last[c] = prevs.pop()
                     # a first occurrence raised used; the first repeat of
                     # word[0] fixed R
@@ -557,9 +582,14 @@ class _Kernel:
                 # joins the mask
                 istar = t + 1 - k
                 if istar >= lo:
-                    radius = (k if symmetric else min(istar, k)) - 1
+                    radius = istar if not symmetric and istar < k else k - 1
                     v = walk[istar]
                     fm |= balls[radius].get(v) or self._new_ball(radius, v)
+                if gs is not None:
+                    # g_t takes the newest centre's ball, k-1 pushes before fm
+                    radius = t if t < k else k - 1
+                    v = walk[t]
+                    gs.append(gs[-1] | (balls[radius].get(v) or self._new_ball(radius, v)))
                 if symmetric and t > k:
                     bound = narrow(bound, t)
                 fms.append(fm)

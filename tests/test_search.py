@@ -120,16 +120,18 @@ class TestDecisionMode:
 
     def test_target_stop_pins_the_exploration_order(self):
         # the child that closes a code is explored before the node's other
-        # children: explored last, the three stops come at 971, 1,412 and
-        # 1,228 nodes; explored in label order, the third comes at 1,225.
-        # A length cap keeps the symmetric seed from answering first.
+        # children: explored last, the first three stops come at 395, 584
+        # and 479 nodes; explored in label order, only the fourth moves,
+        # to 12.  A length cap keeps the symmetric seed from answering first.
         rec = max_length(CodeParams(5, 2), SearchOptions(target=14, max_length=31))
-        assert (rec.n, rec.nodes, rec.stop_reason) == (14, 972, "target")
+        assert (rec.n, rec.nodes, rec.stop_reason) == (14, 396, "target")
         assert rec.witnesses == ((1, 2, 3, 1, 4, 2, 1, 5, 2, 3, 1, 2, 4, 5),)
         rec = max_length(CodeParams(6, 3), SearchOptions(target=16, max_length=63))
-        assert (rec.n, rec.nodes, rec.stop_reason) == (16, 1413, "target")
+        assert (rec.n, rec.nodes, rec.stop_reason) == (16, 585, "target")
         rec = max_length(CodeParams(6, 3), SearchOptions(target=10, max_length=14))
-        assert (rec.n, rec.nodes, rec.stop_reason) == (10, 1223, "target")
+        assert (rec.n, rec.nodes, rec.stop_reason) == (10, 476, "target")
+        rec = max_length(CodeParams(4, 1), SearchOptions(target=6, max_length=6))
+        assert (rec.n, rec.nodes, rec.stop_reason) == (6, 11, "target")
 
     def test_target_met_by_the_seed_stops_inside_it(self):
         # the symmetric seed shares the target; its codes are general codes
@@ -304,18 +306,36 @@ class TestModeValidation:
 
 
 class TestCompletenessToyScale:
-    """Pruned search against unpruned cycle enumeration; the full d <= 4
-    sweep is an acceptance criterion, this keeps a fast guard here."""
+    """Pruned search against unpruned cycle enumeration; the d <= 4 sweep
+    to length 12 is an acceptance criterion, this keeps a fast guard here
+    at every length."""
 
-    @pytest.mark.parametrize("d,k", [(2, 1), (2, 2), (3, 1), (3, 2)])
-    def test_same_classes(self, d, k):
+    _CASES = [(2, 1, 8), (2, 2, 8), (3, 1, 8), (3, 2, 8), (4, 2, 16), (4, 3, 16), (5, 3, 10)]
+
+    @pytest.mark.parametrize("d,k,bound", _CASES, ids=[f"{d}-{k}" for d, k, _ in _CASES])
+    def test_same_classes(self, d, k, bound):
+        # every length up to 2^d, where the general bounds let an open word
+        # of length t close only at N >= t+1; at (5,3) the unpruned
+        # enumeration stops at K(5,3) = 10 (to 12 it takes ~10 s), and the
+        # pruned search to 2^d records nothing longer
         params = CodeParams(d, k)
-        bound = 8
         brute = enumerate_codes_bruteforce(params, bound)
-        pruned = all_valid_codes(params, bound)
+        pruned = all_valid_codes(params, 1 << d)
         bf_classes = {(len(w), canonical_form(w).word) for w in brute}
         pruned_classes = {(len(w), canonical_form(w).word) for w in pruned}
         assert bf_classes == pruned_classes
+
+    @pytest.mark.parametrize("d,k", [(5, 2), (6, 3), (6, 4), (7, 4)])
+    def test_bounded_maximum_equals_the_longest_recorded_codes(self, d, k):
+        # max_length prunes with rules (b) and (d) below the symmetric
+        # floor; a recording kernel with no floor keeps every valid code
+        params = CodeParams(d, k)
+        rec = max_length(params)
+        codes = all_valid_codes(params, 1 << d)
+        longest = max(len(w) for w in codes)
+        classes = {canonical_form(w).word for w in codes if len(w) == longest}
+        assert rec.exhaustive
+        assert (rec.n, rec.witnesses) == (longest, tuple(sorted(classes)))
 
     def test_canonical_of_every_brute_code_is_found_verbatim(self):
         params = CodeParams(3, 2)
@@ -446,10 +466,13 @@ def _reference_levels(d, k, mode, depth):
     A word grows in first-occurrence order; label c at index t, last seen
     at p >= 1, is rule (a)'s prune when R == 0 or t - p < R, R being the
     word's leading run.  Every pair of the new walk vertex is checked by
-    definition.  A general word back at the origin is a leaf (counted,
-    never open), and a node is not expanded when rule (d) by definition
-    says none of its descendants closes: an empty tops list, scanned over
-    all 2^d vertices, or every unit vector within a ball of the mask.
+    definition; a general vertex w != 0 at index t+1 closes only at
+    N >= t+2, so its pair with walk[i] needs min(t+1-i, k, N-(t+1-i)) >=
+    min(t+1-i, k, i+1).  A general word back at the origin is a leaf
+    (counted, never open), and a node is not expanded when rule (d) by
+    definition says none of its descendants closes: an empty tops list,
+    scanned over all 2^d vertices, or every unit vector within a ball of
+    the mask.
     """
     symmetric = mode != "general"
     level = [()]
@@ -471,7 +494,7 @@ def _reference_levels(d, k, mode, depth):
             labels = range(1, min(max(word, default=0) + 1, d) + 1)
             if not symmetric and all(
                 any(
-                    (walk[i] ^ (1 << b)).bit_count() < min(i, k)
+                    (walk[i] ^ (1 << b)).bit_count() < min(i + 1, k)
                     for i in range(1, t + 2 - k)
                 )
                 for b in range(d)
@@ -489,7 +512,7 @@ def _reference_levels(d, k, mode, depth):
                     continue
                 if all(
                     (walk[i] ^ w).bit_count()
-                    >= (min(t + 1 - i, k) if symmetric else min(t + 1 - i, k, i))
+                    >= (min(t + 1 - i, k) if symmetric else min(t + 1 - i, k, i + 1))
                     for i in range(t + 1)
                 ):
                     grown.append(word + (c,))
@@ -555,7 +578,7 @@ class TestKernelPaths:
 
     @pytest.mark.parametrize(
         "d,k,run,tasks",
-        [(5, 2, max_length, 6), (8, 4, symmetric_max, 3), (7, 3, max_length, 8)],
+        [(5, 2, max_length, 6), (8, 4, symmetric_max, 3), (7, 3, max_length, 7)],
     )
     def test_pool_starts_no_more_processes_than_tasks(self, monkeypatch, d, k, run, tasks):
         single = run(CodeParams(d, k))
@@ -701,7 +724,7 @@ class TestClosability:
         assert set(alive) == {True, False}
 
     @pytest.mark.parametrize(
-        "run,d,k,nodes", [(max_length, 7, 3, 240866), (symmetric_max, 11, 6, 2151)]
+        "run,d,k,nodes", [(max_length, 7, 3, 23472), (symmetric_max, 11, 6, 2151)]
     )
     def test_workers_give_the_same_node_total(self, run, d, k, nodes):
         # both bounds read only the node's own state, and a pool task
@@ -718,16 +741,16 @@ class TestNodeCounts:
     on purpose and updates these numbers with its proof of soundness."""
 
     def test_pinned_totals(self, rec_52, rec_63, rec_84_sym):
-        assert rec_52.nodes == 1342
-        assert rec_63.nodes == 1438
+        assert rec_52.nodes == 549
+        assert rec_63.nodes == 268
         assert rec_84_sym.nodes == 173
         assert symmetric_max(CodeParams(9, 5)).nodes == 152
         assert symmetric_max(CodeParams(11, 6)).nodes == 2151
         assert symmetric_max(CodeParams(12, 7)).nodes == 1855
         assert symmetric_max(CodeParams(13, 8)).nodes == 1856
         assert family_symmetric_max(CodeParams(8, 4), 3).nodes == 173
-        assert max_length(CodeParams(7, 4)).nodes == 3740
-        assert max_length(CodeParams(8, 5)).nodes == 9896
+        assert max_length(CodeParams(7, 4)).nodes == 2077
+        assert max_length(CodeParams(8, 5)).nodes == 6686
 
     @pytest.mark.parametrize(
         "run,d,k",
