@@ -76,20 +76,20 @@ Four more rules make the search a branch-and-bound search.
     walk[1..t]; the ball mask at depth t is fm = g_{t+1-k}.  A vertex
     walk[j] with i + k <= j <= N-1 is min(j-i, N-j+i) >= min(k, i+1)
     steps from centre i around the cycle, one more than the radius of its
-    ball, so it lies outside that ball.  Hence every later vertex
-    walk[t+1..N-1] lies outside fm and every vertex walk[t+k..N-1]
-    outside g_t.  The vertices are distinct, and along the cycle they
-    alternate in parity.  So each parity class of the vertices outside fm
-    holds at least floor((N-1-t)/2) of them, and each of those outside
-    g_t at least floor((N-t-k)/2), which gives, with free the vertices
-    outside the mask,
+    ball, so it lies outside that ball.  Hence every vertex walk[t+k..N-1]
+    lies outside g_t.  The vertices are distinct, and along the cycle they
+    alternate in parity, so each parity class of the vertices outside g_t
+    holds at least floor((N-t-k)/2) of them, which gives, with free the
+    vertices outside g_t,
 
-        N <= t + 2 + 2 * min(|free & even|, |free & odd|)      (fm)
-        N <= t + k + 1 + 2 * min(|free & even|, |free & odd|)  (g_t)
+        N <= t + k + 1 + 2 * min(|free & even|, |free & odd|)
 
-    A node where either is below the floor cannot lead to a code of the
-    floor's length and is not expanded.  g_t costs one OR per push, and
-    it is kept only while the rule is on.
+    A node where it is below the floor cannot lead to a code of the
+    floor's length and is not expanded.  The same bound over fm,
+    N <= t + 2 + 2 * min(...), never cuts: with t0 = t+1-k it is term for
+    term that of the ancestor at depth t0, which passed it under the same
+    fixed floor (in a task, the coordinator tested the prefix nodes), and
+    for t0 <= 0 the mask is empty.
 (c) A static floor.  Every symmetric code is a general code, so the
     symmetric maximum is a lower bound on K(d,k).  A general run that
     can claim a maximum (length cap 2^d) first runs the symmetric search
@@ -139,9 +139,12 @@ the node budget and the deadline at one site, right after its push, and
 one closure test follows.  Past the gate n >= 4 and n >= incumbent, a
 word back at the origin closes as itself, and a symmetric half-word
 closes as its doubled word when its top is in its parent's tops list.
-The per-depth state (the ball mask, rule (b)'s g_t, the rule (d) tops
-list and the last occurrence each push replaced) lives in lists that
-grow with the depth reached.  A task of a multi-worker run starts from
+The per-depth state (one ball-mask list, the rule (d) tops list and the
+last occurrence each push replaced) lives in lists that grow with the
+depth reached.  Each push ORs one ball into the mask list, that of
+centre walk[t+1-k+ahead], where ahead is k-1 while rule (b) is on and 0
+otherwise; the list starts with ahead zeros before the root's entry, so
+entry t is the node's ball mask fm and the newest entry is g_t.  A task of a multi-worker run starts from
 a prefix found by the coordinator: ``run(prefix)`` pushes the prefix
 labels along the same path, without counting, closing or checking them
 (the coordinator already did), and then explores every extension.
@@ -361,9 +364,11 @@ class _Kernel:
     # -- balls ---------------------------------------------------------------
 
     def _new_ball(self, radius: int, v: int) -> int:
-        """Build and keep the ball of the radius around v (never 0): the
-        origin ball translated by XOR v, one shift-and-mask step per set bit
-        of v."""
+        """Build and keep the ball of the radius around v: the origin ball
+        translated by XOR v, one shift-and-mask step per set bit of v.  The
+        ball holds v, so it is never 0, and run() tests a cache miss as
+        ``get(v) or``; the ball around v = 0 (walk[0] in symmetric mode) is
+        built once like any other."""
         m = self.origin_balls[radius]
         low = self.low
         for b in range(self.d):
@@ -457,24 +462,15 @@ class _Kernel:
         # rule (b): on in general mode with a floor
         even = self.even
         pfloor = self.floor if even is not None else 0
-        half = 1 << (d - 1)
-
-        def short(mask: int, need: int) -> bool:
-            # fewer than need / 2 vertices outside the mask in some parity
-            # class; half - taken bounds both classes from below
-            taken = mask.bit_count()
-            if 2 * (half - taken) >= need:
-                return False
-            ev = (mask & even).bit_count()
-            return 2 * (half - max(ev, taken - ev)) < need
-
-        # per-depth state: fms[t] is the ball mask of the word of length t,
-        # bounds[t] its rule (d) tops list (symmetric mode, t > k; else
-        # None), prevs[j] the last index of label word[j] before index j
-        fms = [0]
+        full = 1 << d
+        # rule (b) off: a ball is built only when a node's mask first needs it
+        ahead = k - 1 if pfloor else 0
+        # per-depth state (module docstring): masks[t] is the ball mask of
+        # the word of length t and masks[-1] is g_t, bounds[t] its rule (d)
+        # tops list (symmetric mode, t > k; else None), prevs[j] the last
+        # index of label word[j] before index j
+        masks = [0] * (ahead + 1)
         bounds: list = [None]
-        # rule (b) only: gs[t] is g_t, the union of the balls of walk[1..t]
-        gs = [0] if pfloor else None
         prevs: list[int] = []
         # rule (a) state: the last index of each label, and the leading
         # run R (0 before any repeat); used is the number of labels seen
@@ -482,7 +478,7 @@ class _Kernel:
         used = run_r = 0
         base = len(prefix)
         nodes = self.nodes
-        t = fm = 0
+        t = 0
         pend: list[list[int]] = []
         try:
             while True:
@@ -502,17 +498,22 @@ class _Kernel:
                 else:
                     cands = []
                     # rule (b): reaching the floor needs 2 * min(free even,
-                    # free odd) >= need outside fm and >= need + 1 - k
-                    # outside g_t
-                    need = pfloor - t - 2
-                    if need <= 0 or not (short(gs[-1], need + 1 - k) or short(fm, need)):
+                    # free odd) = full - taken - |even taken - odd taken|
+                    # >= need outside g_t; full - 2 * taken bounds it below
+                    need = pfloor - t - k - 1
+                    g = masks[-1]
+                    taken = g.bit_count() if need > 0 else 0
+                    if (
+                        full - 2 * taken >= need
+                        or full - taken - abs(2 * (g & even).bit_count() - taken) >= need
+                    ):
                         # pairs closer than k steps (module docstring):
                         # walk[i], near <= i < t, needs distance i+1 below
                         # fresh; from fresh on, a label absent from
                         # word[fresh:] meets them all
                         near = t + 2 - k if t + 2 - k > lo else lo
                         fresh = near if symmetric or near > t // 2 else (t + 1) // 2
-                        v = walk[t]
+                        v, fm = walk[t], masks[t]
                         if symmetric or fm & units != units:
                             labels = range(used + 1 if used < d else d, 0, -1)
                         else:
@@ -552,10 +553,8 @@ class _Kernel:
                     cands = pend[-1]
                     c = word.pop()
                     walk.pop()
-                    fms.pop()
+                    masks.pop()
                     bounds.pop()
-                    if gs is not None:
-                        gs.pop()
                     p = last[c] = prevs.pop()
                     # a first occurrence raised used; the first repeat of
                     # word[0] fixed R
@@ -577,22 +576,17 @@ class _Kernel:
                 walk.append(walk[t] ^ bit[c])
                 word.append(c)
                 t += 1
-                fm, bound = fms[-1], bounds[-1]
-                # the next vertex lies k steps past walk[istar]; its ball
-                # joins the mask
-                istar = t + 1 - k
-                if istar >= lo:
-                    radius = istar if not symmetric and istar < k else k - 1
-                    v = walk[istar]
-                    fm |= balls[radius].get(v) or self._new_ball(radius, v)
-                if gs is not None:
-                    # g_t takes the newest centre's ball, k-1 pushes before fm
-                    radius = t if t < k else k - 1
-                    v = walk[t]
-                    gs.append(gs[-1] | (balls[radius].get(v) or self._new_ball(radius, v)))
+                mask, bound = masks[-1], bounds[-1]
+                # the next vertex lies k steps past walk[i - ahead]; the
+                # ball of walk[i] joins the mask
+                i = t + 1 - k + ahead
+                if i >= lo:
+                    radius = i if not symmetric and i < k else k - 1
+                    v = walk[i]
+                    mask |= balls[radius].get(v) or self._new_ball(radius, v)
                 if symmetric and t > k:
                     bound = narrow(bound, t)
-                fms.append(fm)
+                masks.append(mask)
                 bounds.append(bound)
                 if t <= base:
                     continue

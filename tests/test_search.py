@@ -458,7 +458,7 @@ class TestSymmetricModeAgainstBruteForce:
         assert search_classes == brute_classes
 
 
-def _reference_levels(d, k, mode, depth):
+def _reference_levels(d, k, mode, depth, floor=0):
     """The kernel's tree by definition, one label at a time: for each
     length 1..depth, below the word cap, its open words (lexicographic)
     and its node count.
@@ -472,7 +472,12 @@ def _reference_levels(d, k, mode, depth):
     (counted, never open), and a node is not expanded when rule (d) by
     definition says none of its descendants closes: an empty tops list,
     scanned over all 2^d vertices, or every unit vector within a ball of
-    the mask.
+    the mask.  A general word of length t is not expanded either when
+    rule (b) by definition says no descendant reaches the floor:
+    t + k + 1 + 2 * min(free even, free odd) < floor over the vertices
+    outside the balls of walk[1..t], each of radius min(i, k-1), or
+    t + 2 + 2 * min(...) < floor over those outside the balls of
+    walk[1..t+1-k], the bound the kernel does not test.
     """
     symmetric = mode != "general"
     level = [()]
@@ -491,6 +496,11 @@ def _reference_levels(d, k, mode, depth):
                     for x in range(1 << d)
                 ):
                     continue
+            if floor and any(
+                slack + 2 * min(_free_parities(d, k, centres)) < floor
+                for slack, centres in ((t + k + 1, walk[1:]), (t + 2, walk[1 : max(t + 2 - k, 1)]))
+            ):
+                continue
             labels = range(1, min(max(word, default=0) + 1, d) + 1)
             if not symmetric and all(
                 any(
@@ -521,32 +531,50 @@ def _reference_levels(d, k, mode, depth):
     return out
 
 
+def _free_parities(d, k, centres):
+    """The even and the odd vertices outside the balls of the centres
+    walk[1], walk[2], ..., that of walk[i] of radius min(i, k-1)."""
+    free = [
+        u
+        for u in range(1 << d)
+        if all((u ^ v).bit_count() > min(i, k - 1) for i, v in enumerate(centres, 1))
+    ]
+    even = sum(1 for u in free if u.bit_count() % 2 == 0)
+    return even, len(free) - even
+
+
 _PATH_CASES = [
-    (3, 1, "general", None, 8), (4, 2, "general", None, 16),
-    (5, 2, "general", None, 32), (6, 4, "general", None, 64),
-    (7, 5, "general", None, 128), (4, 2, "symmetric", None, 16),
-    (6, 3, "symmetric", None, 64), (3, 1, "symmetric", None, 8),
-    (4, 1, "symmetric", None, 16), (8, 4, "family", 3, 256),
+    (3, 1, "general", None, 8, 0), (4, 2, "general", None, 16, 0),
+    (5, 2, "general", None, 32, 0), (6, 4, "general", None, 64, 0),
+    (7, 5, "general", None, 128, 0), (4, 2, "symmetric", None, 16, 0),
+    (6, 3, "symmetric", None, 64, 0), (3, 1, "symmetric", None, 8, 0),
+    (4, 1, "symmetric", None, 16, 0), (8, 4, "family", 3, 256, 0),
     # capped: the word cap, not 14, bounds the depths compared
-    (6, 2, "symmetric", None, 24),
+    (6, 2, "symmetric", None, 24, 0),
+    # rule (b) on: the floors are K(5,2) and K(6,3)
+    (5, 2, "general", None, 32, 14), (6, 3, "general", None, 64, 16),
 ]
 
 
 class TestKernelPaths:
     @pytest.mark.parametrize(
-        "d,k,mode,l,max_word", _PATH_CASES, ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in _PATH_CASES]
+        "d,k,mode,l,max_word,floor",
+        _PATH_CASES,
+        ids=[f"{c[0]}-{c[1]}-{c[2]}" + (f"-floor{c[5]}" if c[5] else "") for c in _PATH_CASES],
     )
-    def test_table_and_loop_paths_identical(self, d, k, mode, l, max_word):
+    def test_table_and_loop_paths_identical(self, d, k, mode, l, max_word, floor):
         # the kernel, which reads its near pairs off the last-occurrence
         # table, and the reference, which loops over every pair, reach the
         # same open words and nodes at every depth; the kernel clamps its
         # split depth below the word cap
         cap = max_word // 2 if mode != "general" else max_word
         depth = min(14, cap - 1)
-        levels = _reference_levels(d, k, mode, depth)
+        levels = _reference_levels(d, k, mode, depth, floor)
         nodes = 0
         for level, (words, count) in enumerate(levels, 1):
-            kern = search._Kernel(CodeParams(d, k), mode, l, max_word, stop_depth=level)
+            kern = search._Kernel(
+                CodeParams(d, k), mode, l, max_word, floor=floor, stop_depth=level
+            )
             assert kern.run() == "complete"
             nodes += count
             assert kern.frontier == words, level
