@@ -499,13 +499,12 @@ class _Kernel:
                     cands = []
                     # rule (b): reaching the floor needs 2 * min(free even,
                     # free odd) = full - taken - |even taken - odd taken|
-                    # >= need outside g_t; full - 2 * taken bounds it below
+                    # >= need outside g_t
                     need = pfloor - t - k - 1
                     g = masks[-1]
-                    taken = g.bit_count() if need > 0 else 0
-                    if (
-                        full - 2 * taken >= need
-                        or full - taken - abs(2 * (g & even).bit_count() - taken) >= need
+                    if need <= 0 or (
+                        full - (taken := g.bit_count())
+                        - abs(2 * (g & even).bit_count() - taken) >= need
                     ):
                         # pairs closer than k steps (module docstring):
                         # walk[i], near <= i < t, needs distance i+1 below

@@ -367,10 +367,8 @@ def audit_delta_inequalities(
 
     No segment is recounted.  Odd-count L means L distinct labels (each
     odd count is at least 1), so the short offenders are the starts whose
-    leading run is below L.  In a closed word a segment (s, L) and its
-    complement ((s + L) mod N, N - L) have one odd-set, so lengths above
-    N/2 mirror their complement's offenders when it is at least k+2.  The
-    lengths counted directly go through the packed kernel with threshold k.
+    leading run is below L.  Every longer length goes through the packed
+    kernel with threshold k.  Offenders are ordered by length, then start.
     """
     facts = _word_facts(word, params.d)
     n = facts.n
@@ -384,17 +382,8 @@ def audit_delta_inequalities(
     runs = facts.runs
     for length in range(min(runs) + 1, min(k + 1, n - 1) + 1):
         offenders += (Segment(s + 1, length) for s in range(n) if runs[s] < length)
-    counted = [L for L in range(k + 2, n - k + 1) if L <= n // 2 or n - L < k + 2]
-    flags = dict(_short_pairs(facts, counted, k))
-    if not flags:  # no counted length falls short, so no mirrored one does
-        return tuple(offenders)
-    for length in range(k + 2, n - k + 1):
-        if length <= n // 2 or n - length < k + 2:
-            starts = _fields(flags.get(length, 0), facts.width)
-        else:  # segment (s, L) is the complement of ((s + L) mod n, n - L)
-            complement = _fields(flags.get(n - length, 0), facts.width)
-            starts = sorted((t - length) % n for t in complement)
-        offenders += (Segment(s + 1, length) for s in starts)
+    for length, flags in _short_pairs(facts, range(k + 2, n - k + 1), k):
+        offenders += (Segment(s + 1, length) for s in _fields(flags, facts.width))
     return tuple(offenders)
 
 

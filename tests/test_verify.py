@@ -340,10 +340,10 @@ class TestDeltaAuditAgainstRecountOracle:
     def test_rotated_relabeled_and_transposed_witnesses(
         self, rec_52, rec_63, rec_84_sym, rec_116_sym
     ):
-        # k = 2, 3, 4, 6 and n >= 2k+5, so lengths above n/2 whose complement is
-        # at least k+2 exist and are mirrored rather than counted
+        # k = 2, 3, 4, 6 and n >= 2k+5, so offenders at lengths past n/2
+        # whose complement is at least k+2 occur
         rng = random.Random(83)
-        short = mirrored = 0
+        short = past_half = 0
         for rec, params in (
             (rec_52, CodeParams(5, 2)),
             (rec_63, CodeParams(6, 3)),
@@ -363,14 +363,14 @@ class TestDeltaAuditAgainstRecountOracle:
                     got = audit_delta_inequalities(x, params)
                     assert got == self.oracle(x, params), (x, params)
                     short += sum(1 for seg in got if seg.length <= k + 1)
-                    mirrored += sum(1 for seg in got if n / 2 < seg.length <= n - k - 2)
-        assert short and mirrored
+                    past_half += sum(1 for seg in got if n / 2 < seg.length <= n - k - 2)
+        assert short and past_half
 
     @pytest.mark.parametrize("d", [9, 17])
     def test_random_words_across_field_widths(self, d):
         # d = 9 and 17 pack into 16- and 32-bit fields; runs of distinct
-        # labels and their transpositions give clean words, offending long
-        # lengths and mirrored ones
+        # labels and their transpositions give clean words and offending
+        # long lengths
         rng = random.Random(97 + d)
         words = []
         for _ in range(12):
