@@ -61,6 +61,7 @@ from .tables import lookup
 from .verify import (
     InapplicableError,
     InternalConsistencyError,
+    _require_cycle,
     _word_facts,
     audit_delta_inequalities,
     check_spread,
@@ -273,8 +274,7 @@ def _audit_words(line: str, d: int | None, k: int | None) -> tuple[CodeParams, l
     for word in words:
         if n is not None and n != len(word):
             raise MalformedSequenceError(f"record claims n={n} but has {len(word)} transitions")
-        if len(word) < 4 or not is_closed(word):
-            raise MalformedSequenceError("transitions do not form a closed walk of length >= 4")
+        _require_cycle(len(word), is_closed(word))
     return params, words
 
 

@@ -88,23 +88,21 @@ Four more rules make the search a branch-and-bound search.
     floor's length and is not expanded.  The same bound over fm,
     N <= t + 2 + 2 * min(...), never cuts: with t0 = t+1-k it is term for
     term that of the ancestor at depth t0, which passed it under the same
-    fixed floor (in a task, the coordinator tested the prefix nodes), and
+    fixed floor (in a task, the head task tested the prefix nodes), and
     for t0 <= 0 the mask is empty.
 (c) A static floor.  Every symmetric code is a general code, so the
     symmetric maximum is a lower bound on K(d,k).  A general run that
     can claim a maximum (length cap 2^d) first runs the symmetric search
     in-process on the same node budget, deadline and target; a target the
     seed meets ends the run there, as its codes are general codes.  Its
-    length seeds the incumbent, so shorter closures are not verified, and
-    it is the floor of rule (b).  The floor is fixed for the run.  Each
-    task of a multi-worker run starts its incumbent from the floor or the
-    coordinator's best and raises it only on its own codes; that incumbent
-    never feeds rule (b), so witnesses and node totals do not depend on
-    the number of workers.
+    length is the floor of the closure gate, so shorter closures are not
+    verified, and of rule (b).  The floor is fixed for the run, and a
+    kernel's own best never feeds rule (b), so witnesses and node totals
+    do not depend on the number of workers.
 (d) Closability, in every mode: a node is not expanded when none of its
     descendants can close.  Both rules read only the node's own walk and
-    ball mask, never the incumbent, so node totals are the same for any
-    number of workers.
+    ball mask, never the best length found, so node totals are the same
+    for any number of workers.
     In symmetric and family mode, let a half-word of length t have a
     descendant of length T >= t+1 that closes, with top x = walk[T].
     Every centre i <= t+1-k of fm is T - i >= k steps before x, so x
@@ -136,18 +134,20 @@ takes the walk back to the origin, is pushed like any other child, as a
 leaf: it is explored before its siblings, and a closed word is never
 extended or handed to a task.  Each node is counted and checked against
 the node budget and the deadline at one site, right after its push, and
-one closure test follows.  Past the gate n >= 4 and n >= incumbent, a
-word back at the origin closes as itself, and a symmetric half-word
-closes as its doubled word when its top is in its parent's tops list.
+one closure test follows.  Past the gate n >= max(4, floor) and
+n >= best, the kernel's longest code so far, a word back at the origin
+closes as itself, and a symmetric half-word closes as its doubled word
+when its top is in its parent's tops list.
 The per-depth state (one ball-mask list, the rule (d) tops list and the
 last occurrence each push replaced) lives in lists that grow with the
 depth reached.  Each push ORs one ball into the mask list, that of
 centre walk[t+1-k+ahead], where ahead is k-1 while rule (b) is on and 0
 otherwise; the list starts with ahead zeros before the root's entry, so
-entry t is the node's ball mask fm and the newest entry is g_t.  A task of a multi-worker run starts from
-a prefix found by the coordinator: ``run(prefix)`` pushes the prefix
-labels along the same path, without counting, closing or checking them
-(the coordinator already did), and then explores every extension.
+entry t is the node's ball mask fm and the newest entry is g_t.  A task
+of a multi-worker run starts from a prefix found by the head task:
+``run(prefix)`` pushes the prefix labels along the same path, without
+counting, closing or checking them (the head already did), and then
+explores every extension.
 
 Everything a pruned partial word could ever become is invalid, or a
 non-canonical rotation, or shorter than a code already known; everything
@@ -160,7 +160,7 @@ from __future__ import annotations
 import functools
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .canon import IsomorphismClass, canonical_form, classify, leading_runs
@@ -321,7 +321,6 @@ class _Kernel:
         target: int | None = None,
         deadline: float | None = None,
         node_budget: int | None = None,
-        incumbent: int = 0,
         stop_depth: int | None = None,
     ) -> None:
         self.params = params
@@ -336,8 +335,6 @@ class _Kernel:
         self.target = target
         self.deadline = deadline
         self.node_budget = node_budget
-        # shortest code worth verifying; raised by every recorded code
-        self.incumbent = incumbent
         self.stop_depth = stop_depth
         # balls[r]: the balls of radius r built so far, by centre; symmetric
         # mode only uses radius k-1
@@ -408,12 +405,11 @@ class _Kernel:
     # -- closing a code ------------------------------------------------------
 
     def _record(self, code: Word) -> None:
-        # past the gate of run(), n >= incumbent >= best
+        # past the gate of run(), n >= best
         n = len(code)
         if n > self.best:
             self.best, self.witnesses = n, []
         self.witnesses.append(code)
-        self.incumbent = n
         if self.target is not None and n >= self.target:
             raise _Stop("target")
 
@@ -421,8 +417,8 @@ class _Kernel:
         """Verify the code of length n closed at this node and record it if
         it is a wanted code: the word itself, back at the origin, in general
         mode, the doubled half-word in symmetric mode.  run() calls it only
-        past the gate n >= 4 and n >= incumbent, and in symmetric mode only
-        for a top in the parent's tops list."""
+        past the gate n >= max(4, floor) and n >= best, and in symmetric
+        mode only for a top in the parent's tops list."""
         # n is t in general mode and 2t in symmetric mode
         code = tuple(self.word) * (n // len(self.word))
         # rule (a) across the wrap: some rotation has a shorter run
@@ -463,6 +459,8 @@ class _Kernel:
         even = self.even
         pfloor = self.floor if even is not None else 0
         full = 1 << d
+        # the closure gate: no code shorter than 4 or than the floor is wanted
+        least = max(4, self.floor)
         # rule (b) off: a ball is built only when a node's mask first needs it
         ahead = k - 1 if pfloor else 0
         # per-depth state (module docstring): masks[t] is the ball mask of
@@ -595,7 +593,7 @@ class _Kernel:
                 if deadline is not None and nodes & 0xFF == 0 and time.monotonic() > deadline:
                     raise _Stop("time")
                 n = 2 * t if symmetric else t
-                if n >= 4 and n >= self.incumbent:
+                if n >= least and n >= self.best:
                     if symmetric:
                         # rule (d) at T = t: the top must be in the parent's
                         # tops list, which is ascending (_heavy yields the
@@ -620,21 +618,24 @@ class _RunResult:
     raw_witnesses: list[Word]
     nodes: int
     stop_reason: str
+    frontier: list[Word] = field(default_factory=list)
 
 
-def _run_subtree(job: dict, prefix: Word, incumbent: int) -> _RunResult:
-    """Search every extension of one prefix: the unit of work of every run,
-    in a pool worker and in-process alike.  ``job`` holds the kernel's run
-    arguments, its stop rules included."""
-    kernel = _Kernel(**job, incumbent=incumbent)
+def _run_subtree(job: dict, prefix: Word = (), stop_depth: int | None = None) -> _RunResult:
+    """Search every extension of one prefix, down to ``stop_depth`` when
+    given: the only code that builds a kernel, in a pool worker and
+    in-process alike.  ``job`` holds the kernel's run arguments, its stop
+    rules included, so a task's result depends on ``(job, prefix)``
+    alone."""
+    kernel = _Kernel(**job, stop_depth=stop_depth)
     reason = kernel.run(prefix)
-    return _RunResult(kernel.best, kernel.witnesses, kernel.nodes, reason)
+    return _RunResult(kernel.best, kernel.witnesses, kernel.nodes, reason, kernel.frontier)
 
 
-def _pool_map(tasks: list[tuple], workers: int) -> list[_RunResult] | None:
-    """Run the tasks in a process pool of at most one process per task;
-    None when no pool can be started here.  ``multiprocessing`` is imported
-    here, so that importing the package does not load it."""
+def _pool_map(job: dict, prefixes: list[Word], workers: int) -> list[_RunResult] | None:
+    """Run one task per prefix in a process pool of at most one process per
+    task; None when no pool can be started here.  ``multiprocessing`` is
+    imported here, so that importing the package does not load it."""
     import multiprocessing
 
     try:
@@ -642,8 +643,8 @@ def _pool_map(tasks: list[tuple], workers: int) -> list[_RunResult] | None:
     except ValueError:
         ctx = multiprocessing.get_context("spawn")
     try:
-        with ctx.Pool(processes=min(workers, len(tasks))) as pool:
-            return pool.starmap(_run_subtree, tasks)
+        with ctx.Pool(processes=min(workers, len(prefixes))) as pool:
+            return pool.map(functools.partial(_run_subtree, job), prefixes)
     except (OSError, RuntimeError):
         return None
 
@@ -651,34 +652,22 @@ def _pool_map(tasks: list[tuple], workers: int) -> list[_RunResult] | None:
 def _run_tree(job: dict, workers: int) -> _RunResult:
     """Traverse one search tree, split over ``workers`` processes.
 
-    The coordinator explores the tree down to depth max(4, k+3), which its
-    kernel lowers to fit the word length cap, and every open word at that
-    depth is a task; closed codes are leaves and never become tasks.
-    Every task starts from the floor or the coordinator's best and raises
-    its own incumbent.  The incumbent only decides which closures get
-    verified, never which nodes are expanded, so the merged answer and
-    node total do not depend on the split.  Tasks share no state, so a
-    node budget comes with one worker only.
+    The head task covers the whole tree on one worker.  On more, it stops
+    at depth max(4, k+3), which its kernel lowers to fit the word length
+    cap, and every open word at that depth is a task; closed codes are
+    leaves and never become tasks.  A task is its prefix: no task reads
+    another's result, so the merged answer and node total do not depend
+    on the split.  Tasks share no state, so a node budget comes with one
+    worker only.
     """
-    floor = job["floor"]
-    results: list[_RunResult] = []
-    tasks = [(job, (), floor)]
-    if workers > 1:
-        # split the tree at a fixed prefix depth, farm out subtrees
-        stop_depth = max(4, job["params"].k + 3)
-        coordinator = _Kernel(**job, incumbent=floor, stop_depth=stop_depth)
-        reason = coordinator.run()
-        results.append(
-            _RunResult(coordinator.best, coordinator.witnesses, coordinator.nodes, reason)
-        )
-        prefixes = coordinator.frontier if reason == "complete" else []
-        incumbent = max(floor, coordinator.best)
-        tasks = [(job, prefix, incumbent) for prefix in prefixes]
-    done = _pool_map(tasks, workers) if workers > 1 and tasks else None
+    stop_depth = max(4, job["params"].k + 3) if workers > 1 else None
+    head = _run_subtree(job, (), stop_depth)
+    prefixes = head.frontier if head.stop_reason == "complete" else []
+    done = _pool_map(job, prefixes, workers) if prefixes else None
     if done is None:
-        # one worker, or no subprocess support here: the same tasks in-process
-        done = [_run_subtree(*task) for task in tasks]
-    results += done
+        # no subprocess support here: the same tasks in-process
+        done = [_run_subtree(job, prefix) for prefix in prefixes]
+    results = [head, *done]
 
     best = max(r.best for r in results)
     raws = [w for r in results for w in r.raw_witnesses if len(w) == best]
@@ -689,7 +678,7 @@ def _run_tree(job: dict, workers: int) -> _RunResult:
 
 def _symmetric_floor(job: dict) -> _RunResult:
     """The symmetric maximum, searched in-process: a lower bound on K(d,k)."""
-    return _run_tree({**job, "mode": "symmetric"}, 1)
+    return _run_subtree({**job, "mode": "symmetric"})
 
 
 def _run_search(

@@ -337,7 +337,8 @@ def check_window_bitrun_property(
 
     Holds for any valid (d,k) code longer than 2(k+1); a counterexample
     (returned as the offending window) would mean the implementation is
-    broken, not the input.  None means the property holds.
+    broken, not the input.  None means the property holds; a word that is
+    not a cycle raises StructuralError.
     """
     facts = _word_facts(word, params.d)
     n = facts.n
@@ -346,6 +347,7 @@ def check_window_bitrun_property(
         raise InapplicableError(
             f"window property needs length > {2 * (k + 1)}, got {n}"
         )
+    _require_cycle(n, facts.masks[-1] == 0)
     runs = facts.runs
     for i in range(n):
         # the window at i begins with a (k+2)-run, or its last k+2 labels are one
@@ -375,8 +377,7 @@ def audit_delta_inequalities(
     k = params.k
     if n <= 2 * k:
         raise InapplicableError(f"delta audit needs length > {2 * k}, got {n}")
-    if facts.masks[-1] != 0:
-        raise StructuralError("delta audit expects a closed sequence")
+    _require_cycle(n, facts.masks[-1] == 0)
 
     offenders: list[Segment] = []
     runs = facts.runs

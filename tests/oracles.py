@@ -10,7 +10,7 @@ the package.
 
 :class:`RecordingKernel` is the search kernel with one change: it
 records every valid code it closes, at any length, where the product
-kernel keeps only the longest.  It never raises its incumbent, so the
+kernel keeps only the longest.  It never raises ``best``, so the
 closure gate lets every code of length >= 4 through.
 """
 

@@ -400,8 +400,17 @@ class TestAudit:
         [
             ("[1, 2, 1, 2]", "record is not a JSON object"),
             ('{"d": 3, "k": 1, "witnesses": 5}', "record needs a list of transitions or of witnesses"),
+            # the audits' own cycle precondition, with its message
+            (
+                '{"d": 3, "k": 1, "transitions": [1, 2, 3, 1]}',
+                "sequence is not closed: walk does not return to origin",
+            ),
+            (
+                '{"d": 2, "k": 1, "transitions": [1, 1]}',
+                "a cycle in the hypercube has at least 4 transitions, got 2",
+            ),
         ],
-        ids=["array", "witnesses-5"],
+        ids=["array", "witnesses-5", "open-walk", "two-steps"],
     )
     def test_non_record_line_is_input_error(self, capsys, tmp_path, line, message):
         f = tmp_path / "bad.jsonl"

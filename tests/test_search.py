@@ -605,6 +605,32 @@ class TestKernelPaths:
         assert rec.exhaustive
 
     @pytest.mark.parametrize(
+        "d,k,mode,nodes", [(7, 3, "general", 23472), (11, 6, "symmetric", 2151)]
+    )
+    def test_a_task_is_its_prefix(self, d, k, mode, nodes):
+        # a task's result depends on (job, prefix) alone: each frontier
+        # prefix run twice gives equal results, and the head and its tasks
+        # (with the symmetric seed in general mode) make up the 1-worker run
+        single = (max_length if mode == "general" else symmetric_max)(CodeParams(d, k))
+        job = dict(
+            params=CodeParams(d, k), mode=mode, l_req=None, max_word=1 << d, floor=0,
+            target=None, deadline=None, node_budget=None,
+        )
+        seed_nodes = 0
+        if mode == "general":
+            seed = search._symmetric_floor(job)
+            job["floor"], seed_nodes = seed.best, seed.nodes
+        head = search._run_subtree(job, (), max(4, k + 3))
+        assert head.stop_reason == "complete" and head.frontier
+        tasks = [search._run_subtree(job, prefix) for prefix in head.frontier]
+        assert [search._run_subtree(job, prefix) for prefix in head.frontier] == tasks
+        results = [head, *tasks]
+        assert seed_nodes + sum(r.nodes for r in results) == single.nodes == nodes
+        best = max(r.best for r in results)
+        found = {canonical_form(w).word for r in results for w in r.raw_witnesses if len(w) == best}
+        assert (best, tuple(sorted(found))) == (single.n, single.witnesses)
+
+    @pytest.mark.parametrize(
         "d,k,run,tasks",
         [(5, 2, max_length, 6), (8, 4, symmetric_max, 3), (7, 3, max_length, 7)],
     )
@@ -680,8 +706,8 @@ class TestSymmetricClosure:
         rng = random.Random(seed)
         params = CodeParams(d, k)
         depth = min(d + 2, 13)
-        coordinator = search._Kernel(params, "symmetric", None, 1 << d, stop_depth=depth)
-        assert coordinator.run() == "complete"
+        head = search._Kernel(params, "symmetric", None, 1 << d, stop_depth=depth)
+        assert head.run() == "complete"
         real = search._Kernel._narrow
         pushed = []
 
@@ -691,7 +717,7 @@ class TestSymmetricClosure:
 
         monkeypatch.setattr(search._Kernel, "_narrow", narrow)
         closed = self._closed(monkeypatch)
-        frontier = coordinator.frontier
+        frontier = head.frontier
         for prefix in rng.sample(frontier, min(20, len(frontier))):
             kern = RecordingKernel(params, "symmetric", None, 1 << d, node_budget=2000)
             if kern.run(prefix) == "nodes":

@@ -431,6 +431,13 @@ class TestWindowBitrunProperty:
         with pytest.raises(InapplicableError):
             check_window_bitrun_property((1, 2, 1, 2), CodeParams(2, 1))
 
+    @pytest.mark.parametrize(
+        "word,params", [((1, 2, 3, 4, 5), CodeParams(5, 1)), (tuple(range(1, 10)), CodeParams(9, 2))]
+    )
+    def test_non_closed_is_structural(self, word, params):
+        with pytest.raises(StructuralError, match="not closed"):
+            check_window_bitrun_property(word, params)
+
     @staticmethod
     def first_bad_window(word, k):
         """Literal scan: the first cyclic window of k+3 labels whose first
@@ -443,12 +450,10 @@ class TestWindowBitrunProperty:
         return None
 
     def test_arbitrary_words_by_definition(self):
-        # not codes: most of these words fail, at varied windows
-        words = [w for n in range(5, 9) for w in itertools.product((1, 2, 3), repeat=n)]
+        # closed, but not codes: most of these words fail, at varied windows
+        words = closed_words(3, 8)
         rng = random.Random(29)
-        words += [
-            tuple(rng.randint(1, 8) for _ in range(rng.randint(5, 24))) for _ in range(3000)
-        ]
+        words += [_random_closed_word(rng, 8, 24) for _ in range(3000)]
         outcomes = set()
         for k in (1, 2, 3, 4):
             params = CodeParams(8, k)
@@ -488,9 +493,12 @@ class TestDeltaAudit:
         with pytest.raises(InapplicableError):
             audit_delta_inequalities((1, 2, 1, 2), CodeParams(2, 2))
 
-    def test_non_closed_is_structural(self):
-        with pytest.raises(StructuralError):
-            audit_delta_inequalities((1, 2, 3, 4, 5), CodeParams(5, 1))
+    @pytest.mark.parametrize(
+        "word,params", [((1, 2, 3, 4, 5), CodeParams(5, 1)), (tuple(range(1, 10)), CodeParams(9, 2))]
+    )
+    def test_non_closed_is_structural(self, word, params):
+        with pytest.raises(StructuralError, match="not closed"):
+            audit_delta_inequalities(word, params)
 
     def test_short_segments_of_valid_codes_are_bit_runs(self, rec_52, rec_63):
         # odd-count == length forces pairwise-distinct labels
