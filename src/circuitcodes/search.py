@@ -29,16 +29,15 @@ exactly when they are distinct.  Let near = max(lo, j+1-k), and
 fresh = near in symmetric mode and max(near, ceil((j-1)/2)) in general
 mode.  From fresh on the threshold is j - i; the parent passed the same
 test one step earlier, so word[fresh:j-1] is distinct and the new label
-passes when it last occurred before fresh.  The general pairs
-near <= i < fresh need distance i+1: at most k/2 - 1 popcounts, only
-while j <= 2k-4.  The far pairs, j - i >= k, go through a ball mask: a
-bitmask over the 2^d vertices of everything within the threshold of
-some walk[i] with j - i >= k, that is the ball of radius k-1 (symmetric
-mode) or min(i+1, k)-1 (general mode) around walk[i], grown by one ball
-per push.  A ball is built the first time its centre and radius are
-needed, by translating the cached origin ball by XOR with the centre
-(one shift-and-mask step per set bit of the centre), and kept for the
-rest of the traversal.
+passes when it last occurred before fresh.  Below fresh, j - i >= k in
+symmetric mode and j - i >= min(i+2, k) in general mode, so the
+threshold is k or min(i+1, k), one more than the radius k-1 or
+min(i, k-1) of the ball around walk[i]: those pairs are decided by one
+bit of a ball mask, the union of these balls over lo <= i < fresh as a
+bitmask over the 2^d vertices, grown by one ball per push.  A ball is
+built the first time its centre and radius are needed, by translating
+the cached origin ball by XOR with the centre (one shift-and-mask step
+per set bit of the centre), and kept for the rest of the traversal.
 
 A symmetric half-word of length t closes as its doubled word, a cycle of
 length 2t whose vertex t+s is walk[t] ^ walk[s].  The half-word is a
@@ -141,10 +140,12 @@ when its top is in its parent's tops list.
 The per-depth state (one ball-mask list, the rule (d) tops list and the
 last occurrence each push replaced) lives in lists that grow with the
 depth reached.  Each push ORs one ball into the mask list, that of
-centre walk[t+1-k+ahead], where ahead is k-1 while rule (b) is on and 0
-otherwise; the list starts with ahead zeros before the root's entry, so
-entry t is the node's ball mask fm and the newest entry is g_t.  A task
-of a multi-worker run starts from a prefix found by the head task:
+centre walk[t+1-k+ahead], ahead being k-1 in general mode and 0 in
+symmetric mode, which builds a ball only when a mask first needs it.
+After ahead leading zeros, entry x holds the balls of the centres up to
+x+1-k: entry t is the node's fm, and in general mode entry fresh+k-2 is
+g_{fresh-1}, read by the candidate test, and the newest entry is g_t.
+A task of a multi-worker run starts from a prefix found by the head task:
 ``run(prefix)`` pushes the prefix labels along the same path, without
 counting, closing or checking them (the head already did), and then
 explores every extension.
@@ -461,12 +462,12 @@ class _Kernel:
         full = 1 << d
         # the closure gate: no code shorter than 4 or than the floor is wanted
         least = max(4, self.floor)
-        # rule (b) off: a ball is built only when a node's mask first needs it
-        ahead = k - 1 if pfloor else 0
+        # general mode keeps g_t, k-1 balls ahead of fm; symmetric mode none
+        ahead = 0 if symmetric else k - 1
         # per-depth state (module docstring): masks[t] is the ball mask of
-        # the word of length t and masks[-1] is g_t, bounds[t] its rule (d)
-        # tops list (symmetric mode, t > k; else None), prevs[j] the last
-        # index of label word[j] before index j
+        # the word of length t (masks[-1] is g_t in general mode), bounds[t]
+        # its rule (d) tops list (symmetric mode, t > k; else None), prevs[j]
+        # the last index of label word[j] before index j
         masks = [0] * (ahead + 1)
         bounds: list = [None]
         prevs: list[int] = []
@@ -504,13 +505,14 @@ class _Kernel:
                         full - (taken := g.bit_count())
                         - abs(2 * (g & even).bit_count() - taken) >= need
                     ):
-                        # pairs closer than k steps (module docstring):
-                        # walk[i], near <= i < t, needs distance i+1 below
-                        # fresh; from fresh on, a label absent from
-                        # word[fresh:] meets them all
+                        # pairs (i, t+1) (module docstring): below fresh one
+                        # bit of gm, g_{fresh-1} (fm in symmetric mode), decides
+                        # them; from fresh on, a label absent from word[fresh:]
+                        # meets them all
                         near = t + 2 - k if t + 2 - k > lo else lo
-                        fresh = near if symmetric or near > t // 2 else (t + 1) // 2
+                        fresh = near if symmetric else max(near, (t + 1) // 2)
                         v, fm = walk[t], masks[t]
+                        gm = fm if symmetric else masks[fresh + k - 2]
                         if symmetric or fm & units != units:
                             labels = range(used + 1 if used < d else d, 0, -1)
                         else:
@@ -529,12 +531,7 @@ class _Kernel:
                             if w == 0:
                                 closer = c
                                 continue
-                            if p >= fresh or (fm >> w) & 1:
-                                continue
-                            for i in range(near, fresh):
-                                if (walk[i] ^ w).bit_count() <= i:
-                                    break
-                            else:
+                            if p < fresh and not (gm >> w) & 1:
                                 cands.append(c)
                         if closer and not symmetric:
                             # back at the origin: the closed code is a leaf

@@ -551,8 +551,10 @@ _PATH_CASES = [
     (4, 1, "symmetric", None, 16, 0), (8, 4, "family", 3, 256, 0),
     # capped: the word cap, not 14, bounds the depths compared
     (6, 2, "symmetric", None, 24, 0),
-    # rule (b) on: the floors are K(5,2) and K(6,3)
+    # rule (b) on: the floors are K(5,2), K(6,3), K(7,4) and K(8,5); at
+    # k >= 4 the ball mask decides near pairs below fresh
     (5, 2, "general", None, 32, 14), (6, 3, "general", None, 64, 16),
+    (7, 4, "general", None, 128, 14), (8, 5, "general", None, 256, 16),
 ]
 
 
@@ -882,6 +884,21 @@ class TestBallMasks:
         kern = search._Kernel(CodeParams(14, 8), "general", None, 1 << 14)
         for _ in range(200):
             self._check(kern, rng.randrange(8), rng.randrange(1 << 14))
+
+    @pytest.mark.parametrize(
+        "d,k,mode,floor,built",
+        [
+            (14, 8, "symmetric", 0, [0] * 7 + [19]),
+            (11, 6, "symmetric", 0, [0] * 5 + [17]),
+            (7, 3, "general", 24, [0, 1, 87]),
+        ],
+    )
+    def test_balls_built_per_radius(self, d, k, mode, floor, built):
+        # a symmetric kernel builds a ball only when a node's mask first
+        # needs it; a general one keeps g_t, the balls of walk[1..t]
+        kern = search._Kernel(CodeParams(d, k), mode, None, 1 << d, floor=floor)
+        assert kern.run() == "complete"
+        assert [len(b) for b in kern.balls] == built
 
     def test_kernel_at_d_20_holds_only_the_balls_it_builds(self):
         # the first kernel caches the origin balls and low masks that every
