@@ -8,15 +8,28 @@ next 2, ...) over all rotations.  Traversal reversal is not part of the
 default isomorphism; it can be opted in, which additionally considers
 rotations of the reversed word.
 
+The gap of a position is the cyclic distance to the next occurrence of
+its label (the word length for a label that occurs once); :func:`_gaps`
+computes them all in one sweep.  Positions i and i + gap[i] carry the
+same label, so the gaps chain the positions into label classes and fix
+the word up to relabeling: two words are equal up to rotation and
+relabeling exactly when their gap sequences are rotations of each other.
+:func:`classify` therefore buckets words by the least rotation of their
+gap sequence (with reversal, the smaller of the keys of both
+orientations), which needs no relabeling, and computes one canonical
+form per bucket.
+
 Only some rotations can win.  Relabeled, a rotation starts 1, 2, ..., R
 where R is its leading run, the number of positions before the first
 repeated label; the next entry is a repeat, so at most R.  A rotation
 with a shorter leading run is therefore smaller than one with a longer
 run, and the minimum lies among the rotations of minimal leading run.
-:func:`leading_runs` computes the run of every rotation in linear time
-and only those rotations are relabeled and compared.  The exhaustive
-search prunes by the same invariant, and the full rotation scan is the
-test reference, in the test suite's ``oracles`` module.
+The run of rotation s is min over j of gap[s + j] + j, so the minimal
+run equals the minimal gap and rotation s has it exactly when gap[s] is
+minimal; only those rotations are relabeled and compared.  The least gap
+rotation starts at such a position too, and the exhaustive search prunes
+by the same invariant.  The full rotation scan is the test reference, in
+the test suite's ``oracles`` module.
 Rotation s + p of a word of smallest period p is rotation s again and
 ties go to the smaller shift, so only shifts below p are candidates; a
 candidate is relabeled only while it ties the incumbent, and a loser
@@ -54,23 +67,31 @@ def _least_rotation(word: Word, starts: Iterable[int]) -> tuple[Word, int, dict[
     return best, shift, best_mapping
 
 
+def _gaps(word: Sequence[int]) -> list[int]:
+    """Cyclic distance from each position to the next occurrence of its
+    label, the word length for a label that occurs once."""
+    n = len(word)
+    last = dict(zip(reversed(word), range(2 * n - 1, n - 1, -1)))
+    gap = [0] * n
+    for i in range(n - 1, -1, -1):
+        c = word[i]
+        gap[i] = last[c] - i
+        last[c] = i
+    return gap
+
+
 def leading_runs(word: Sequence[int]) -> list[int]:
     """Leading run of every rotation of a cyclic word.
 
     ``runs[s]`` is the number of distinct labels that rotation ``s``
     starts with before its first repeat (the word length if it never
-    repeats).  A rotation's run is the smaller of the distance to the
-    next occurrence of its first label and one more than the run of the
-    following rotation, so one backward sweep of two periods fixes all.
+    repeats).  A rotation's run is the smaller of its gap (the distance
+    to the next occurrence of its first label) and one more than the run
+    of the following rotation, so one backward sweep of two periods over
+    the gaps fixes all; the minimal run equals the minimal gap.
     """
     n = len(word)
-    gap = [n] * n
-    last: dict[int, int] = {}
-    for i in range(2 * n - 1, -1, -1):
-        c = word[i % n]
-        if i < n:
-            gap[i] = last[c] - i
-        last[c] = i
+    gap = _gaps(word)
     runs = [n] * n
     r = n
     for i in range(2 * n - 1, -1, -1):
@@ -79,6 +100,47 @@ def leading_runs(word: Sequence[int]) -> list[int]:
         if i < n:
             runs[i] = r
     return runs
+
+
+_HEAD = 16  # gap entries compared before a whole rotation is sliced
+
+
+def _least_gap_rotation(word: Word) -> tuple[int, ...]:
+    """Least rotation of the word's gap sequence; it starts at a minimal
+    gap.  Rotations are compared by their first ``_HEAD`` entries, and
+    whole only on a tie; a rotation equal to an earlier one means every
+    later start repeats an earlier one."""
+    gap = _gaps(word)
+    n = len(gap)
+    if n == 0:
+        return ()
+    low = min(gap)
+    doubled = tuple(gap + gap)
+    s = gap.index(low)
+    best, best_head, best_full = s, doubled[s : s + _HEAD], None
+    for _ in range(gap.count(low) - 1):
+        s = gap.index(low, s + 1)
+        head = doubled[s : s + _HEAD]
+        if head < best_head:
+            best, best_head, best_full = s, head, None
+        elif head == best_head:
+            full = doubled[s : s + n]
+            if best_full is None:
+                best_full = doubled[best : best + n]
+            if full < best_full:
+                best, best_head, best_full = s, head, full
+            elif full == best_full:
+                break
+    return best_full or doubled[best : best + n]
+
+
+def _class_key(word: Word, include_reversal: bool) -> tuple[int, ...]:
+    """Equal exactly for words of one class: the least gap rotation, of
+    either orientation when reversal is included."""
+    key = _least_gap_rotation(word)
+    if include_reversal:
+        key = min(key, _least_gap_rotation(word[::-1]))
+    return key
 
 
 @dataclass(frozen=True)
@@ -103,23 +165,22 @@ def canonical_form(
 ) -> CanonicalForm:
     """Smallest first-occurrence word over all rotations.
 
-    Only rotations of minimal leading run (over both orientations when
-    reversal is included) are compared.  Ties prefer the forward
-    orientation, then the smaller shift; the result is a fixed point of
-    canonicalization.
+    Only rotations of minimal gap (over both orientations when reversal
+    is included) are compared.  Ties prefer the forward orientation, then
+    the smaller shift; the result is a fixed point of canonicalization.
     """
     w = as_word(word)
     n = len(w)
     if n == 0:
         return CanonicalForm(word=(), shift=0, relabeling=())
     period = next(p for p in range(1, n + 1) if n % p == 0 and w[p:] == w[: n - p])
-    orientations = [(w, False, leading_runs(w))]
+    orientations = [(w, False, _gaps(w))]
     if include_reversal:
-        orientations.append((w[::-1], True, leading_runs(w[::-1])))
-    shortest = min(min(runs) for _, _, runs in orientations)
+        orientations.append((w[::-1], True, _gaps(w[::-1])))
+    shortest = min(min(gap) for _, _, gap in orientations)
     best = None
-    for base, reversed_flag, runs in orientations:
-        starts = [s for s in range(period) if runs[s] == shortest]
+    for base, reversed_flag, gap in orientations:
+        starts = [s for s in range(period) if gap[s] == shortest]
         if starts:
             cand = _least_rotation(base, starts)
             if best is None or cand[0] < best[0][0]:
@@ -162,19 +223,27 @@ def classify(
     """Partition words by canonical form.
 
     Classes come back sorted by representative word, counts summing to
-    the input size, independent of input order.
+    the input size, independent of input order.  Words are bucketed by
+    their gap key and one word per bucket is canonicalized; the
+    representative is the canonical word's own form (shift 0, the
+    identity relabeling).
     """
-    buckets: dict[Word, int] = {}
+    buckets: dict[tuple[int, ...], list] = {}
     for w in words:
-        key = canonical_form(w, include_reversal).word
-        buckets[key] = buckets.get(key, 0) + 1
+        w = as_word(w)
+        key = _class_key(w, include_reversal)
+        entry = buckets.get(key)
+        if entry is None:
+            buckets[key] = [w, 1]
+        else:
+            entry[1] += 1
     out = []
-    for key in sorted(buckets):
-        # the representative is self-canonical: identity transform
+    for w, count in buckets.values():
+        canon = canonical_form(w, include_reversal).word
         out.append(
             IsomorphismClass(
-                representative=canonical_form(key, include_reversal),
-                count=buckets[key],
+                representative=canonical_form(canon, include_reversal), count=count
             )
         )
+    out.sort(key=lambda c: c.representative.word)
     return out

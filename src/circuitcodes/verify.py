@@ -158,6 +158,17 @@ def _word_facts(word: Sequence[int], d: int) -> _WordFacts:
     return facts
 
 
+@functools.cache
+def _kernel_constants(n: int, width: int) -> tuple[int, int, int, int, int, tuple[int, ...]]:
+    """The packed kernel's constants for n fields of ``width`` bits: 1 in
+    every field, the three SWAR masks, bit 7 of every field and the fold
+    shifts.  Cached per (n, width), so they grow with the word lengths seen."""
+    ones = int.from_bytes(b"\x01".ljust(width // 8, b"\x00") * n, "little")
+    bytes_ = ones * int.from_bytes(b"\x01" * (width // 8), "little")
+    folds = tuple(shift for shift in (8, 16, 32) if shift < width)
+    return ones, 0x55 * bytes_, 0x33 * bytes_, 0x0F * bytes_, 0x80 * ones, folds
+
+
 def _short_pairs(
     facts: _WordFacts, lengths: Iterable[int], k: int
 ) -> Iterator[tuple[int, int]]:
@@ -170,11 +181,7 @@ def _short_pairs(
     n, width, packed = facts.n, facts.width, facts.packed
     k = min(k, facts.d + 1)  # no count exceeds d, so larger thresholds act alike
     doubled = packed | (packed << n * width)
-    ones = int.from_bytes(b"\x01".ljust(width // 8, b"\x00") * n, "little")
-    bytes_ = ones * int.from_bytes(b"\x01" * (width // 8), "little")
-    m1, m2, m4 = 0x55 * bytes_, 0x33 * bytes_, 0x0F * bytes_
-    top = 0x80 * ones
-    folds = [shift for shift in (8, 16, 32) if shift < width]
+    ones, m1, m2, m4, top, folds = _kernel_constants(n, width)
     add_k = (128 - k) * ones
     for length in lengths:
         x = packed ^ (doubled >> length * width)

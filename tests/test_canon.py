@@ -15,7 +15,8 @@ from circuitcodes import (
     is_valid_code,
     rotate,
 )
-from circuitcodes.canon import leading_runs
+import circuitcodes.canon as canon
+from circuitcodes.canon import _class_key, _gaps, leading_runs
 from oracles import canonical_form_bruteforce
 
 
@@ -189,11 +190,28 @@ class TestAgainstRotationScan:
             seen.add(c)
         return len(word)
 
+    @staticmethod
+    def gap_at(word, s):
+        n = len(word)
+        return next(g for g in range(1, n + 1) if word[(s + g) % n] == word[s])
+
     def test_leading_runs_by_definition(self):
         rng = random.Random(71)
         for _ in range(2000):
             word = tuple(rng.randint(1, rng.randint(1, 8)) for _ in range(rng.randint(1, 24)))
             assert leading_runs(word) == [self.run_at(word, s) for s in range(len(word))]
+
+    def test_minimal_run_is_minimal_gap(self):
+        rng = random.Random(72)
+        for _ in range(2000):
+            word = tuple(rng.randint(1, rng.randint(1, 8)) for _ in range(rng.randint(1, 24)))
+            gaps, runs = _gaps(word), leading_runs(word)
+            assert gaps == [self.gap_at(word, s) for s in range(len(word))]
+            low = min(gaps)
+            assert min(runs) == low
+            assert [s for s, r in enumerate(runs) if r == low] == [
+                s for s, g in enumerate(gaps) if g == low
+            ]
 
     def test_random_words_both_orientations(self):
         rng = random.Random(73)
@@ -255,6 +273,58 @@ class TestClassify:
             ((1, 2, 1, 2), 3),
             ((1, 2, 3, 1, 2, 3), 1),
         }
+
+    def test_gap_key_separates_exactly_the_classes(self):
+        # every word of length 0..8 over labels <= 3
+        words = [w for n in range(9) for w in itertools.product((1, 2, 3), repeat=n)]
+        for rev in (False, True):
+            canon_of_key, key_of_canon = {}, {}
+            for w in words:
+                key, word = _class_key(w, rev), canonical_form(w, rev).word
+                assert canon_of_key.setdefault(key, word) == word, (w, rev)
+                assert key_of_canon.setdefault(word, key) == key, (w, rev)
+
+    def test_against_bucketing_by_the_oracle(self):
+        rng = random.Random(89)
+        bases = [(), (4,), (1, 2) * 3, (1, 2) * 7, (1, 2, 3) * 4, (1, 2, 1, 3) * 2]
+        bases += [(1, 2, 3, 4, 1, 5, 6, 2, 1, 4, 7, 5) * 2]  # a K(7,3) witness
+        bases += [(1, 2, 1, 3, 1, 2, 4), (5, 1, 2, 1, 2)]  # labels that occur once
+        bases += [(1, 2) * 9 + (1, 3) + (1, 2) * 8 + (1, 4)]  # rotations tie on 16 gaps
+        bases += [tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 12))) for _ in range(20)]
+        words = []
+        for _ in range(400):
+            w = rng.choice(bases)
+            shift = rng.randrange(len(w)) if w else 0
+            w = apply_relabel(rotate(w, shift), random_perm(rng, 9))
+            words.append(w[::-1] if rng.random() < 0.5 else w)
+        for rev in (False, True):
+            counts = {}
+            for w in words:
+                key = canonical_form_bruteforce(w, rev).word
+                counts[key] = counts.get(key, 0) + 1
+            want = [(canonical_form_bruteforce(c, rev), counts[c]) for c in sorted(counts)]
+            got = [(c.representative, c.count) for c in classify(words, rev)]
+            assert got == want, rev
+
+    def test_one_canonical_form_per_class(self, monkeypatch):
+        rng = random.Random(97)
+        witness = (1, 2, 3, 4, 1, 5, 6, 2, 1, 4, 7, 5) * 2  # K(7,3) = 24
+        words = [
+            apply_relabel(rotate(witness, rng.randrange(24)), random_perm(rng, 7))
+            for _ in range(500)
+        ]
+        calls = []
+        real = canon.canonical_form
+
+        def counting(word, include_reversal=False):
+            calls.append(word)
+            return real(word, include_reversal)
+
+        monkeypatch.setattr(canon, "canonical_form", counting)
+        classes = classify(words)
+        assert [c.count for c in classes] == [500]
+        assert classes[0].representative == real(witness)
+        assert len(calls) <= 2
 
     def test_input_order_irrelevant(self):
         rng = random.Random(59)
