@@ -240,9 +240,13 @@ def classify(
     out = []
     for w, count in buckets.values():
         canon = canonical_form(w, include_reversal).word
+        # the canonical word is its own form: rotation 0, forward, and its
+        # first-occurrence labels map to themselves
+        identity = tuple((c, c) for c in sorted(set(canon)))
         out.append(
             IsomorphismClass(
-                representative=canonical_form(canon, include_reversal), count=count
+                representative=CanonicalForm(word=canon, shift=0, relabeling=identity),
+                count=count,
             )
         )
     out.sort(key=lambda c: c.representative.word)

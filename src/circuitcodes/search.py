@@ -113,7 +113,20 @@ Four more rules make the search a branch-and-bound search.
     tested against its parent's list.  A child's list is a sublist of its
     parent's, so each push narrows the parent's list
     (``_Kernel._narrow``), starting at t = k+1 from the vertices of
-    weight >= k.
+    weight >= k.  In pair terms x keeps distance k from walk[s] ^ walk[i]
+    for s <= t-k and i <= t+1-k; the parent met every pair with
+    s, i <= t-k, so the new pairs are (s, t+1-k) for s <= t-k, and x
+    passes them all exactly when x ^ walk[t+1-k] lies outside the balls
+    of walk[0..t-k], the parent's ball mask: one bit test per entry.  The
+    start list meets only the pair (0, 0), so at t = k+1 the pair (0, 1)
+    is tested too.  At k = 1 the origin's ball {0} never joins the mask
+    list (centre 0 would join at depth k-1 = 0, before any push), so the
+    test adds it.  A CPython bit test of a 2^d-bit int costs O(2^d), about
+    0.3 us at d = 14, 1.8 us at d = 17 and 14-22 us at d = 20, against
+    ~60 ns for a popcount; on budgeted runs of 50,000 nodes the bit test
+    takes S(17,10) from 1.34 to 0.87 s and S(18,11) from 1.17 to 1.43 s
+    (2-core Intel Xeon, CPython 3.11.7).  So above d = 17 each s is one
+    popcount per entry instead, against the two newest centres at once.
     In general mode, let a word of length t have a descendant code of
     length N >= t+2.  Its vertex N-1 is a unit vector e_c.  A centre
     i <= t+1-k of fm is min(N-1-i, i+1) steps from it around the cycle,
@@ -169,6 +182,9 @@ from .core import CodeParams, Word
 from .verify import InternalConsistencyError, check_spread
 
 _MAX_SEARCH_D = 20  # vertex masks and balls of 2^d bits
+# rule (d) narrows by one bit test of the parent's ball mask up to this d,
+# and by popcounts above it (measured crossover; see ``_Kernel._narrow``)
+_MASK_NARROW_MAX_D = 17
 
 
 class IncompleteEnumerationError(RuntimeError):
@@ -378,18 +394,46 @@ class _Kernel:
 
     # -- closability (rule (d)) ----------------------------------------------
 
-    def _narrow(self, tops: Sequence[int] | None, t: int) -> list[int]:
+    def _narrow(self, tops: Sequence[int] | None, t: int, fm: int) -> list[int]:
         """The tops list of the half-word of length t > k, from its parent's
-        (None at t = k+1).
+        (None at t = k+1) and the parent's ball mask fm, the balls of
+        walk[0..t-k].
 
         A top x keeps distance k from walk[s] ^ walk[i] for every
         0 <= s <= t-k and 0 <= i <= t+1-k.  The parent's list meets the
-        pairs with s < t-k and i < t+1-k, and the start list, the vertices
-        of weight >= k, meets (0, 0).  As walk[s] ^ walk[i] is symmetric in
-        s and i, the new pairs are every s <= t-k against the two newest
-        centres a = walk[t-k] and walk[t+1-k] = a ^ e, which differ in one
-        bit e.  For y = x ^ a ^ walk[s], |y| >= k and |y ^ e| >= k both
-        hold exactly when |y & ~e| >= k: one popcount per s and vertex.
+        pairs with s, i <= t-k, and as walk[s] ^ walk[i] is symmetric in s
+        and i, the new pairs are every s <= t-k against walk[t+1-k]: x
+        passes them all when x ^ walk[t+1-k] lies outside fm.  The start
+        list, the vertices of weight >= k, meets only (0, 0), so at
+        t = k+1 the pair (0, 1) is tested too, as x ^ walk[1] outside fm.
+        At k = 1 the mask list never holds the origin's ball, {0}, so it
+        is added here.  Up to d = _MASK_NARROW_MAX_D that is one bit test
+        per entry; above it, where a bit test of the 2^d-bit mask costs
+        more than the popcounts, ``_narrow_by_count`` decides the same
+        pairs.  Both filter in order, so the list stays ascending.
+        """
+        if self.d > _MASK_NARROW_MAX_D:
+            return self._narrow_by_count(tops, t)
+        walk = self.walk
+        if self.k == 1:
+            fm |= 1
+        centre = walk[t + 1 - self.k]
+        if tops is None:
+            first = walk[1]
+            return [
+                x for x in _heavy(self.d, self.k)
+                if not fm >> (x ^ centre) & 1 and not fm >> (x ^ first) & 1
+            ]
+        return [x for x in tops if not fm >> (x ^ centre) & 1]
+
+    def _narrow_by_count(self, tops: Sequence[int] | None, t: int) -> list[int]:
+        """``_narrow`` for d > _MASK_NARROW_MAX_D, by popcounts.
+
+        Each s <= t-k is tested against both newest centres at once,
+        a = walk[t-k] and walk[t+1-k] = a ^ e, which differ in one bit e;
+        that covers the new pairs, (0, 1) of the start list included.  For
+        y = x ^ a ^ walk[s], |y| >= k and |y ^ e| >= k both hold exactly
+        when |y & ~e| >= k: one popcount per s and entry.
         """
         k, walk = self.k, self.walk
         if tops is None:
@@ -579,7 +623,7 @@ class _Kernel:
                     v = walk[i]
                     mask |= balls[radius].get(v) or self._new_ball(radius, v)
                 if symmetric and t > k:
-                    bound = narrow(bound, t)
+                    bound = narrow(bound, t, masks[-1])
                 masks.append(mask)
                 bounds.append(bound)
                 if t <= base:

@@ -713,9 +713,9 @@ class TestSymmetricClosure:
         real = search._Kernel._narrow
         pushed = []
 
-        def narrow(kern, tops, t):
+        def narrow(kern, tops, t, fm):
             pushed.append(tuple(kern.word))
-            return real(kern, tops, t)
+            return real(kern, tops, t, fm)
 
         monkeypatch.setattr(search._Kernel, "_narrow", narrow)
         closed = self._closed(monkeypatch)
@@ -745,7 +745,14 @@ class TestClosability:
     of workers."""
 
     @pytest.mark.parametrize(
-        "d,k,mode,l", [(8, 4, "symmetric", None), (9, 5, "symmetric", None), (8, 4, "family", 3)]
+        "d,k,mode,l",
+        [
+            (4, 1, "symmetric", None),
+            (6, 2, "symmetric", None),
+            (8, 4, "symmetric", None),
+            (9, 5, "symmetric", None),
+            (8, 4, "family", 3),
+        ],
     )
     def test_tops_list_by_definition(self, monkeypatch, d, k, mode, l):
         # a top x lies outside fm_t, the vertices within k-1 of some
@@ -753,8 +760,8 @@ class TestClosability:
         real = search._Kernel._narrow
         alive = []
 
-        def checked(kern, tops, t):
-            got = real(kern, tops, t)
+        def checked(kern, tops, t, fm):
+            got = real(kern, tops, t, fm)
             walk = kern.walk
             assert t == len(kern.word) > k
             free = {
@@ -778,6 +785,29 @@ class TestClosability:
         # k allows only the word 1, 2, ..., t
         assert len(alive) == kern.nodes - k
         assert set(alive) == {True, False}
+
+    @pytest.mark.parametrize(
+        "d,k,mode,l,budget",
+        [(11, 6, "symmetric", None, None), (8, 4, "family", 3, None), (14, 8, "symmetric", None, 5000)],
+    )
+    def test_mask_and_count_narrowing_agree(self, monkeypatch, d, k, mode, l, budget):
+        # the bit test of the parent's mask and the popcount loop keep the
+        # same list at every narrowed node
+        real = search._Kernel._narrow
+        seen = []
+
+        def both(kern, tops, t, fm):
+            got = real(kern, tops, t, fm)
+            assert got == kern._narrow_by_count(tops, t), kern.word
+            seen.append(bool(got))
+            return got
+
+        monkeypatch.setattr(search._Kernel, "_narrow", both)
+        assert d <= search._MASK_NARROW_MAX_D
+        kern = search._Kernel(CodeParams(d, k), mode, l, 1 << d, node_budget=budget)
+        assert kern.run() == ("complete" if budget is None else "nodes")
+        assert len(seen) == kern.nodes - k
+        assert set(seen) == {True, False}
 
     @pytest.mark.parametrize(
         "run,d,k,nodes", [(max_length, 7, 3, 23472), (symmetric_max, 11, 6, 2151)]
